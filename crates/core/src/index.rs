@@ -13,7 +13,6 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use tsq_dft::energy::{euclidean_complex, euclidean_complex_early_abandon};
 use tsq_dft::FftPlanner;
 use tsq_rtree::{PagedTree, RStarTree, RTreeConfig, Rect, SearchStats};
 use tsq_series::{NormalForm, TimeSeries};
@@ -778,9 +777,9 @@ impl SimilarityIndex {
                 let (neighbors, index_stats) = paged.nearest_with_tie(
                     k,
                     |rect| space.transformed_lower_bound(rect, t, schema, &qf),
-                    |_, item| {
+                    |_, item, bound| {
                         exact_checks += 1;
-                        self.exact_distance(item as usize, t, &qf)
+                        self.knn_distance(item as usize, t, &qf, bound)
                     },
                     // Break exact-distance ties by series id: the answer set
                     // is then a pure function of the data, independent of
@@ -800,9 +799,9 @@ impl SimilarityIndex {
                 let (neighbors, index_stats) = self.tree.nearest_with_tie(
                     k,
                     |rect| space.transformed_lower_bound(rect, t, schema, &qf),
-                    |_, &id| {
+                    |_, &id, bound| {
                         exact_checks += 1;
-                        self.exact_distance(id, t, &qf)
+                        self.knn_distance(id, t, &qf, bound)
                     },
                     // Same tie-break as the paged arm: (distance, id).
                     |&id| id as u64,
@@ -855,9 +854,7 @@ impl SimilarityIndex {
             }
             return None;
         }
-        let x = &self.store[id].features.spectrum;
-        let transformed = t.apply_spectrum(x);
-        euclidean_complex_early_abandon(&transformed, &qf.spectrum, eps)
+        t.distance_within(&self.store[id].features.spectrum, &qf.spectrum, eps * eps)
     }
 
     /// Exact distance `D(T(o_id), q)` without a bound.
@@ -865,9 +862,34 @@ impl SimilarityIndex {
         if t.warp() > 1 {
             return self.warp_distance(id, t, qf);
         }
-        let x = &self.store[id].features.spectrum;
-        let transformed = t.apply_spectrum(x);
-        euclidean_complex(&transformed, &qf.spectrum)
+        t.distance_within(
+            &self.store[id].features.spectrum,
+            &qf.spectrum,
+            f64::INFINITY,
+        )
+        .expect("an infinite limit never abandons")
+    }
+
+    /// The kNN refine: exact distance `D(T(o_id), q)`, or `None` once it is
+    /// certainly strictly greater than `bound`, the running `k`-th
+    /// distance. The abandon limit sits a few ulps above `bound²`, so a
+    /// distance whose (rounded) root equals `bound` always survives and
+    /// boundary ties are decided by the caller's `(distance, id)` order.
+    /// Warp transforms take the unbounded time-domain path.
+    fn knn_distance(
+        &self,
+        id: usize,
+        t: &LinearTransform,
+        qf: &Features,
+        bound: f64,
+    ) -> Option<f64> {
+        if t.warp() > 1 {
+            return Some(self.warp_distance(id, t, qf));
+        }
+        // `fl(sqrt(s)) <= bound` implies `s <= bound² (1 + 2⁻⁵²)` (plus a
+        // subnormal-range absolute term); the margin below exceeds both.
+        let limit = bound * bound * (1.0 + 4.0 * f64::EPSILON) + f64::MIN_POSITIVE;
+        t.distance_within(&self.store[id].features.spectrum, &qf.spectrum, limit)
     }
 
     /// Warp distances are computed in the time domain: the stored
@@ -907,6 +929,7 @@ impl SimilarityIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsq_dft::energy::euclidean_complex;
     use tsq_series::generate::RandomWalkGenerator;
 
     fn small_relation(count: usize, len: usize, seed: u64) -> Vec<TimeSeries> {

@@ -602,7 +602,9 @@ impl SubseqIndex {
         let (trail_hits, mut index_stats) = self.tree.nearest_with(
             k,
             |rect| rect.min_dist2(&qcoords).sqrt(),
-            |_, trail| {
+            // Every window of an expanded trail lands in `seen`, so the
+            // refine ignores the running bound.
+            |_, trail, _| {
                 let values = self.store[trail.series].values();
                 let mut best = f64::INFINITY;
                 for offset in trail.start..trail.start + trail.len {
@@ -612,7 +614,7 @@ impl SubseqIndex {
                     best = best.min(d2);
                     seen.push((d2, trail.series, offset));
                 }
-                best.sqrt()
+                Some(best.sqrt())
             },
         );
         seen.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));

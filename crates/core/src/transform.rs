@@ -377,6 +377,31 @@ impl LinearTransform {
         self.a[f] * x + self.b[f]
     }
 
+    /// Distance `D(T(x), q)` with early abandoning: sums
+    /// `|T(x)_f - q_f|^2` coefficient by coefficient and returns `None` as
+    /// soon as the partial sum exceeds `limit_sq`.
+    ///
+    /// Allocation-free, and performs the operations of
+    /// `euclidean_complex(&self.apply_spectrum(x), q)` in the same order,
+    /// so a distance that survives is bit-identical to it. With
+    /// `limit_sq = f64::INFINITY` it never abandons.
+    ///
+    /// # Panics
+    /// Panics if `x` or `q` differs in length from `n`.
+    pub fn distance_within(&self, x: &[Complex64], q: &[Complex64], limit_sq: f64) -> Option<f64> {
+        assert_eq!(x.len(), self.a.len(), "spectrum length mismatch");
+        assert_eq!(q.len(), self.a.len(), "distance requires equal lengths");
+        let mut acc = 0.0;
+        for ((&x, &q), (&a, &b)) in x.iter().zip(q).zip(self.a.iter().zip(&self.b)) {
+            // `a * x + b` is `apply_coeff`, without the index checks.
+            acc += (a * x + b - q).norm_sqr();
+            if acc > limit_sq {
+                return None;
+            }
+        }
+        Some(acc.sqrt())
+    }
+
     /// Applies the transformation in the *time domain*: transforms the
     /// spectrum of `x` and inverts. For warping transformations this is the
     /// literal stretch (each value repeated `m` times).
@@ -634,6 +659,89 @@ mod tests {
         let t1 = LinearTransform::identity(4).with_cost(2.0);
         let t2 = LinearTransform::reverse(4).with_cost(3.5);
         assert_eq!(t1.then(&t2).unwrap().cost(), 5.5);
+    }
+
+    /// Seeded stream of values in `[-scale, scale)` (SplitMix64).
+    fn uniform(seed: &mut u64, scale: f64) -> f64 {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        scale * (2.0 * (z >> 11) as f64 / (1u64 << 53) as f64 - 1.0)
+    }
+
+    fn spectrum(seed: &mut u64, n: usize, scale: f64) -> Vec<Complex64> {
+        (0..n)
+            .map(|_| Complex64::new(uniform(seed, scale), uniform(seed, scale)))
+            .collect()
+    }
+
+    #[test]
+    fn bounded_distance_is_bit_identical_to_materialized() {
+        use tsq_dft::energy::{euclidean_complex, euclidean_complex_early_abandon};
+        let n = 64;
+        let mut seed = 17;
+        // Seeded random safe transforms: complex multipliers without
+        // translation (safe in S_pol), real multipliers with translation
+        // (safe in S_rect).
+        let polar =
+            LinearTransform::from_parts(spectrum(&mut seed, n, 2.0), vec![ZERO; n], "random polar")
+                .unwrap();
+        let rect_a = (0..n)
+            .map(|_| Complex64::from_real(uniform(&mut seed, 2.0)))
+            .collect();
+        let rect = LinearTransform::from_parts(rect_a, spectrum(&mut seed, n, 0.5), "random rect")
+            .unwrap();
+        assert!(polar.is_safe_polar(0.0) && rect.is_safe_rect(0.0));
+        for t in [
+            LinearTransform::identity(n),
+            LinearTransform::moving_average(n, 8),
+            LinearTransform::reverse(n),
+            polar,
+            rect,
+        ] {
+            for _ in 0..50 {
+                let x = spectrum(&mut seed, n, 3.0);
+                let q = spectrum(&mut seed, n, 3.0);
+                let transformed = t.apply_spectrum(&x);
+                let full = euclidean_complex(&transformed, &q);
+                let got = t.distance_within(&x, &q, f64::INFINITY);
+                assert_eq!(got.map(f64::to_bits), Some(full.to_bits()), "{t}");
+                // Abandon decisions at thresholds straddling the distance
+                // match the materialized early-abandon scan exactly.
+                let below = f64::from_bits(full.to_bits() - 1);
+                let above = f64::from_bits(full.to_bits() + 1);
+                for eps in [0.0, 0.5 * full, below, full, above, 2.0 * full] {
+                    let want = euclidean_complex_early_abandon(&transformed, &q, eps);
+                    let got = t.distance_within(&x, &q, eps * eps);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "{t} eps={eps}"
+                    );
+                }
+                // At every prefix sum as the limit: abandon exactly when a
+                // later prefix exceeds it, and survive bit-identically.
+                let mut prefix = 0.0;
+                let sums: Vec<f64> = transformed
+                    .iter()
+                    .zip(&q)
+                    .map(|(&a, &b)| {
+                        prefix += (a - b).norm_sqr();
+                        prefix
+                    })
+                    .collect();
+                for &limit in &sums {
+                    let abandons = sums.iter().any(|&s| s > limit);
+                    let got = t.distance_within(&x, &q, limit);
+                    assert_eq!(got.is_none(), abandons, "{t} limit={limit}");
+                    if let Some(d) = got {
+                        assert_eq!(d.to_bits(), full.to_bits(), "{t}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

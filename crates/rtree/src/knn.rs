@@ -1,5 +1,6 @@
 //! Best-first nearest-neighbor search (Roussopoulos–Kelley–Vincent style
-//! pruning generalized to the incremental best-first algorithm).
+//! pruning generalized to the incremental best-first algorithm), with the
+//! exact refine bounded by the running `k`-th distance.
 //!
 //! Distances are pluggable: the caller supplies a *lower bound* for node
 //! MBRs and an *exact* distance for leaf entries. For plain Euclidean KNN
@@ -7,13 +8,29 @@
 //! queries (`find the k series most similar to q under T`), `tsq-core`
 //! passes bounds computed on transformed rectangles, which keeps the search
 //! correct with no false dismissals.
+//!
+//! The heap holds nodes only. Expanding a leaf refines each of its entries
+//! against the current `k`-th distance (`+∞` until `k` results exist), and
+//! a survivor goes straight into the sorted top-`k` list. The exact
+//! closure receives that bound, so it may stop summing once the distance
+//! is certainly larger (the early abandoning of the paper's Section 5).
+//! Contract: the closure returns `None` only when the exact distance is
+//! *strictly* greater than the bound; it may return `Some(d)` with
+//! `d > bound`, and such an offer simply does not make the top `k`.
+//!
+//! The loop stops when a popped node's lower bound is strictly greater
+//! than the `k`-th distance. With a bound that never decreases from a
+//! node to its children (MINDIST over nested rectangles), the search
+//! therefore expands exactly the nodes whose lower bound is at most the
+//! final `k`-th distance — the same nodes an unbounded refine expands —
+//! and examines every item tied at the boundary.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use tsq_store::StoreResult;
 
-use crate::node::{Entry, Node};
+use crate::node::Entry;
 use crate::page::PageId;
 use crate::paged::{PagedEntry, PagedTree};
 use crate::rect::Rect;
@@ -31,37 +48,106 @@ pub struct Neighbor<'a, T> {
     pub item: &'a T,
 }
 
-enum HeapPayload<'a, T> {
-    Node(&'a Node<T>),
-    Item(&'a Rect, &'a T),
-}
-
-struct HeapEntry<'a, T> {
+/// A node waiting on the best-first heap at its lower-bound distance.
+struct Queued<N> {
     dist: f64,
-    payload: HeapPayload<'a, T>,
+    node: N,
 }
 
-impl<T> PartialEq for HeapEntry<'_, T> {
+impl<N> PartialEq for Queued<N> {
     fn eq(&self, other: &Self) -> bool {
         self.dist == other.dist
     }
 }
-impl<T> Eq for HeapEntry<'_, T> {}
-impl<T> PartialOrd for HeapEntry<'_, T> {
+impl<N> Eq for Queued<N> {}
+impl<N> PartialOrd for Queued<N> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T> Ord for HeapEntry<'_, T> {
+impl<N> Ord for Queued<N> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we need smallest distance first.
         other.dist.total_cmp(&self.dist)
     }
 }
 
+/// The running answer of a best-first search: the `k` smallest offers by
+/// `(distance, key)`, ascending.
+struct TopK<N> {
+    k: usize,
+    best: Vec<(f64, u64, N)>,
+    /// Offers dropped from the list whose distance equals the current
+    /// `k`-th distance (boundary ties lost on the key).
+    tied_drops: u64,
+}
+
+impl<N> TopK<N> {
+    fn new(k: usize, capacity: usize) -> Self {
+        TopK {
+            k,
+            best: Vec::with_capacity(capacity),
+            tied_drops: 0,
+        }
+    }
+
+    /// The refine bound: the `k`-th distance once `k` results exist, `+∞`
+    /// before that.
+    fn bound(&self) -> f64 {
+        if self.best.len() == self.k {
+            self.best[self.k - 1].0
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    fn offer(&mut self, distance: f64, key: u64, neighbor: N) {
+        let before = self.bound();
+        let pos = self
+            .best
+            .binary_search_by(|(d, pk, _)| d.total_cmp(&distance).then(pk.cmp(&key)))
+            .unwrap_or_else(|p| p);
+        let dropped = if pos == self.k {
+            distance
+        } else {
+            self.best.insert(pos, (distance, key, neighbor));
+            if self.best.len() <= self.k {
+                return;
+            }
+            self.best.pop().map_or(distance, |(d, _, _)| d)
+        };
+        let kth = self.bound();
+        if kth != before {
+            self.tied_drops = 0;
+        }
+        if dropped == kth {
+            self.tied_drops += 1;
+        }
+    }
+
+    /// Offers within the final `k`-th distance: the answer plus the
+    /// boundary ties it dropped. Every item closer than the final `k`-th
+    /// distance is in the answer, so this is the number of examined items
+    /// within that distance — [`SearchStats::candidates`] of a search that
+    /// queues items at their exact distance and stops at the first one
+    /// past the `k`-th.
+    fn candidates(&self) -> u64 {
+        self.best.len() as u64 + self.tied_drops
+    }
+
+    fn into_sorted(self) -> Vec<N> {
+        self.best.into_iter().map(|(_, _, n)| n).collect()
+    }
+}
+
 impl<T> RStarTree<T> {
     /// Returns the `k` items minimizing `exact_dist`, using `bound_dist` as
     /// an admissible (never over-estimating) lower bound on node MBRs.
+    ///
+    /// `exact_dist(rect, item, bound)` may abandon — return `None` — once
+    /// the item's distance is certainly strictly greater than `bound`, the
+    /// current `k`-th distance (`+∞` until `k` results exist); see the
+    /// [module docs](self).
     ///
     /// Results are sorted by ascending distance. If the tree holds fewer
     /// than `k` items, all of them are returned. Items tied in distance at
@@ -76,7 +162,7 @@ impl<T> RStarTree<T> {
     ) -> (Vec<Neighbor<'a, T>>, SearchStats)
     where
         B: FnMut(&Rect) -> f64,
-        E: FnMut(&Rect, &T) -> f64,
+        E: FnMut(&Rect, &T, f64) -> Option<f64>,
     {
         // A constant tie key makes the keyed comparator degenerate to the
         // distance-only comparator, so this wrapper changes nothing.
@@ -88,11 +174,12 @@ impl<T> RStarTree<T> {
     /// win the boundary slots, and equal-distance results are ordered by
     /// ascending key.
     ///
-    /// The best-first loop only prunes when a heap distance is *strictly*
-    /// greater than the current `k`-th distance, so every item tied at the
-    /// boundary is examined — keying the insertion is enough to make the
-    /// retained set exactly the `k` smallest by `(distance, key)`. Visit
-    /// counters are identical to the unkeyed search.
+    /// The best-first loop only prunes when a node's lower bound is
+    /// *strictly* greater than the current `k`-th distance, and the exact
+    /// closure only abandons items strictly beyond it, so every item tied
+    /// at the boundary is examined — keying the insertion is enough to make
+    /// the retained set exactly the `k` smallest by `(distance, key)`.
+    /// Visit counters are identical to the unkeyed search.
     pub fn nearest_with_tie<'a, B, E, K>(
         &'a self,
         k: usize,
@@ -102,68 +189,53 @@ impl<T> RStarTree<T> {
     ) -> (Vec<Neighbor<'a, T>>, SearchStats)
     where
         B: FnMut(&Rect) -> f64,
-        E: FnMut(&Rect, &T) -> f64,
+        E: FnMut(&Rect, &T, f64) -> Option<f64>,
         K: FnMut(&T) -> u64,
     {
         let mut stats = SearchStats::default();
-        let mut results: Vec<(u64, Neighbor<'a, T>)> = Vec::with_capacity(k.min(self.len()));
         if k == 0 || self.is_empty() {
             return (Vec::new(), stats);
         }
-        let mut heap: BinaryHeap<HeapEntry<'a, T>> = BinaryHeap::new();
-        heap.push(HeapEntry {
+        let mut top = TopK::new(k, k.min(self.len()));
+        let mut heap = BinaryHeap::new();
+        heap.push(Queued {
             dist: 0.0,
-            payload: HeapPayload::Node(&self.root),
+            node: &self.root,
         });
-        while let Some(HeapEntry { dist, payload }) = heap.pop() {
-            if results.len() == k && dist > results[k - 1].1.distance {
+        while let Some(Queued { dist, node }) = heap.pop() {
+            if dist > top.bound() {
                 break; // nothing on the heap can beat the current k-th
             }
-            match payload {
-                HeapPayload::Node(node) => {
-                    stats.nodes_visited += 1;
-                    if node.is_leaf() {
-                        stats.leaves_visited += 1;
-                    }
-                    for entry in &node.entries {
-                        stats.entries_tested += 1;
-                        match entry {
-                            Entry::Leaf { rect, item } => {
-                                let d = exact_dist(rect, item);
-                                heap.push(HeapEntry {
-                                    dist: d,
-                                    payload: HeapPayload::Item(rect, item),
-                                });
-                            }
-                            Entry::Node { rect, child } => {
-                                let d = bound_dist(rect);
-                                heap.push(HeapEntry {
-                                    dist: d,
-                                    payload: HeapPayload::Node(child),
-                                });
-                            }
+            stats.nodes_visited += 1;
+            if node.is_leaf() {
+                stats.leaves_visited += 1;
+            }
+            for entry in &node.entries {
+                stats.entries_tested += 1;
+                match entry {
+                    Entry::Leaf { rect, item } => {
+                        if let Some(distance) = exact_dist(rect, item, top.bound()) {
+                            let key = tie_key(item);
+                            top.offer(
+                                distance,
+                                key,
+                                Neighbor {
+                                    distance,
+                                    rect,
+                                    item,
+                                },
+                            );
                         }
                     }
-                }
-                HeapPayload::Item(rect, item) => {
-                    stats.candidates += 1;
-                    let key = tie_key(item);
-                    insert_sorted(
-                        &mut results,
-                        key,
-                        Neighbor {
-                            distance: dist,
-                            rect,
-                            item,
-                        },
-                        k,
-                    );
-                    // When the k-th distance is settled, the loop's break
-                    // condition prunes the remaining heap.
+                    Entry::Node { rect, child } => heap.push(Queued {
+                        dist: bound_dist(rect),
+                        node: &**child,
+                    }),
                 }
             }
         }
-        (results.into_iter().map(|(_, n)| n).collect(), stats)
+        stats.candidates = top.candidates();
+        (top.into_sorted(), stats)
     }
 
     /// Euclidean k-nearest-neighbors of a query point, using `MINDIST`
@@ -176,23 +248,8 @@ impl<T> RStarTree<T> {
         self.nearest_with(
             k,
             |rect| rect.min_dist2(point).sqrt(),
-            |rect, _| rect.min_dist2(point).sqrt(),
+            |rect, _, _| Some(rect.min_dist2(point).sqrt()),
         )
-    }
-}
-
-fn insert_sorted<'a, T>(
-    results: &mut Vec<(u64, Neighbor<'a, T>)>,
-    key: u64,
-    n: Neighbor<'a, T>,
-    k: usize,
-) {
-    let pos = results
-        .binary_search_by(|(pk, p)| p.distance.total_cmp(&n.distance).then(pk.cmp(&key)))
-        .unwrap_or_else(|p| p);
-    results.insert(pos, (key, n));
-    if results.len() > k {
-        results.pop();
     }
 }
 
@@ -208,38 +265,11 @@ pub struct OwnedNeighbor {
     pub item: u64,
 }
 
-enum PagedHeapPayload {
-    Node(PageId, u32),
-    Item(Rect, u64),
-}
-
-struct PagedHeapEntry {
-    dist: f64,
-    payload: PagedHeapPayload,
-}
-
-impl PartialEq for PagedHeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist
-    }
-}
-impl Eq for PagedHeapEntry {}
-impl PartialOrd for PagedHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PagedHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we need smallest distance first.
-        other.dist.total_cmp(&self.dist)
-    }
-}
-
 impl PagedTree {
     /// Paged twin of [`RStarTree::nearest_with`]: the identical best-first
-    /// search — same heap discipline, same tie behavior, same counters —
-    /// with node fetches going through the buffer pool.
+    /// search — same heap discipline, same bounded refine, same tie
+    /// behavior, same counters — with node fetches going through the
+    /// buffer pool.
     ///
     /// # Errors
     /// Typed [`tsq_store::StoreError`]s when a page cannot be read or
@@ -252,7 +282,7 @@ impl PagedTree {
     ) -> StoreResult<(Vec<OwnedNeighbor>, SearchStats)>
     where
         B: FnMut(&Rect) -> f64,
-        E: FnMut(&Rect, u64) -> f64,
+        E: FnMut(&Rect, u64, f64) -> Option<f64>,
     {
         self.nearest_with_tie(k, bound_dist, exact_dist, |_| 0)
     }
@@ -271,67 +301,58 @@ impl PagedTree {
     ) -> StoreResult<(Vec<OwnedNeighbor>, SearchStats)>
     where
         B: FnMut(&Rect) -> f64,
-        E: FnMut(&Rect, u64) -> f64,
+        E: FnMut(&Rect, u64, f64) -> Option<f64>,
         K: FnMut(u64) -> u64,
     {
         let mut stats = SearchStats::default();
-        let mut results: Vec<(u64, OwnedNeighbor)> = Vec::with_capacity(k.min(self.len()));
         if k == 0 || self.is_empty() {
             return Ok((Vec::new(), stats));
         }
-        let mut heap: BinaryHeap<PagedHeapEntry> = BinaryHeap::new();
-        heap.push(PagedHeapEntry {
+        let mut top = TopK::new(k, k.min(self.len()));
+        let mut heap: BinaryHeap<Queued<(PageId, u32)>> = BinaryHeap::new();
+        heap.push(Queued {
             dist: 0.0,
-            payload: PagedHeapPayload::Node(self.root(), self.root_level()),
+            node: (self.root(), self.root_level()),
         });
-        while let Some(PagedHeapEntry { dist, payload }) = heap.pop() {
-            if results.len() == k && dist > results[k - 1].1.distance {
+        while let Some(Queued {
+            dist,
+            node: (id, level),
+        }) = heap.pop()
+        {
+            if dist > top.bound() {
                 break; // nothing on the heap can beat the current k-th
             }
-            match payload {
-                PagedHeapPayload::Node(id, level) => {
-                    let node = self.fetch(id, level, &mut stats)?;
-                    stats.nodes_visited += 1;
-                    if node.is_leaf() {
-                        stats.leaves_visited += 1;
-                    }
-                    for entry in &node.entries {
-                        stats.entries_tested += 1;
-                        match entry {
-                            PagedEntry::Leaf { rect, item } => {
-                                let d = exact_dist(rect, *item);
-                                heap.push(PagedHeapEntry {
-                                    dist: d,
-                                    payload: PagedHeapPayload::Item(rect.clone(), *item),
-                                });
-                            }
-                            PagedEntry::Child { rect, page } => {
-                                let d = bound_dist(rect);
-                                heap.push(PagedHeapEntry {
-                                    dist: d,
-                                    payload: PagedHeapPayload::Node(*page, level - 1),
-                                });
-                            }
+            let node = self.fetch(id, level, &mut stats)?;
+            stats.nodes_visited += 1;
+            if node.is_leaf() {
+                stats.leaves_visited += 1;
+            }
+            for entry in &node.entries {
+                stats.entries_tested += 1;
+                match entry {
+                    PagedEntry::Leaf { rect, item } => {
+                        if let Some(distance) = exact_dist(rect, *item, top.bound()) {
+                            let key = tie_key(*item);
+                            top.offer(
+                                distance,
+                                key,
+                                OwnedNeighbor {
+                                    distance,
+                                    rect: rect.clone(),
+                                    item: *item,
+                                },
+                            );
                         }
                     }
-                }
-                PagedHeapPayload::Item(rect, item) => {
-                    stats.candidates += 1;
-                    let key = tie_key(item);
-                    insert_sorted_owned(
-                        &mut results,
-                        key,
-                        OwnedNeighbor {
-                            distance: dist,
-                            rect,
-                            item,
-                        },
-                        k,
-                    );
+                    PagedEntry::Child { rect, page } => heap.push(Queued {
+                        dist: bound_dist(rect),
+                        node: (*page, level - 1),
+                    }),
                 }
             }
         }
-        Ok((results.into_iter().map(|(_, n)| n).collect(), stats))
+        stats.candidates = top.candidates();
+        Ok((top.into_sorted(), stats))
     }
 
     /// Paged twin of [`RStarTree::nearest_to_point`].
@@ -346,23 +367,8 @@ impl PagedTree {
         self.nearest_with(
             k,
             |rect| rect.min_dist2(point).sqrt(),
-            |rect, _| rect.min_dist2(point).sqrt(),
+            |rect, _, _| Some(rect.min_dist2(point).sqrt()),
         )
-    }
-}
-
-fn insert_sorted_owned(
-    results: &mut Vec<(u64, OwnedNeighbor)>,
-    key: u64,
-    n: OwnedNeighbor,
-    k: usize,
-) {
-    let pos = results
-        .binary_search_by(|(pk, p)| p.distance.total_cmp(&n.distance).then(pk.cmp(&key)))
-        .unwrap_or_else(|p| p);
-    results.insert(pos, (key, n));
-    if results.len() > k {
-        results.pop();
     }
 }
 
@@ -454,11 +460,11 @@ mod tests {
         let (got, _) = t.nearest_with(
             1,
             |rect| rect.affine(&[-1.0, -1.0], &[0.0, 0.0]).min_dist2(&q).sqrt(),
-            |rect, _| {
+            |rect, _, _| {
                 let c = rect.center();
                 let dx = -c[0] - q[0];
                 let dy = -c[1] - q[1];
-                (dx * dx + dy * dy).sqrt()
+                Some((dx * dx + dy * dy).sqrt())
             },
         );
         assert_eq!(*got[0].item, (3, 7));
@@ -480,7 +486,7 @@ mod tests {
             let (got, _) = t.nearest_with_tie(
                 3,
                 |rect| rect.min_dist2(&[0.0, 0.0]).sqrt(),
-                |_, _| 1.0, // all items exactly tied
+                |_, _, _| Some(1.0), // all items exactly tied
                 |&id| id,
             );
             let ids: Vec<u64> = got.iter().map(|n| *n.item).collect();
@@ -500,6 +506,80 @@ mod tests {
         assert_eq!(got.len(), 4);
         for n in &got {
             assert!((n.distance - 1.0).abs() < 1e-12);
+        }
+    }
+
+    /// Brute-force distances from `q` to every grid point, ascending.
+    fn grid_distances(n: usize, q: [f64; 2]) -> Vec<f64> {
+        let mut d = brute_knn(n, n * n, q);
+        d.sort_by(f64::total_cmp);
+        d
+    }
+
+    #[test]
+    fn candidates_count_every_item_within_the_kth_distance() {
+        // MINDIST is monotone and exact on points, so every item at most
+        // the final k-th distance away sits in an expanded leaf: the
+        // candidate count is a brute-force count, boundary ties included
+        // (the grid is full of exactly tied distances).
+        let n = 15;
+        let t = grid_tree(n);
+        for q in [
+            [0.0, 0.0],
+            [7.0, 7.0],
+            [7.5, 7.5],
+            [3.0, 11.0],
+            [20.0, -3.0],
+        ] {
+            let all = grid_distances(n, q);
+            for k in [1usize, 2, 4, 5, 8, 9, 13, 30] {
+                let (got, stats) = t.nearest_to_point(k, &q);
+                let kth = got[k - 1].distance;
+                let within = all.iter().filter(|&&d| d <= kth).count() as u64;
+                assert_eq!(stats.candidates, within, "q={q:?} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn abandoning_refine_changes_nothing() {
+        // An exact closure that abandons everything past the bound must
+        // yield the same answer and counters as one that never abandons.
+        let t = grid_tree(20);
+        for q in [[0.0, 0.0], [9.5, 9.5], [4.0, 17.0]] {
+            for k in [1usize, 3, 6, 12] {
+                let lower = |r: &Rect| r.min_dist2(&q).sqrt();
+                let exact = |r: &Rect| r.min_dist2(&q).sqrt();
+                let mut abandoned = 0;
+                let (bounded, bounded_stats) = t.nearest_with_tie(
+                    k,
+                    lower,
+                    |r, _, bound| {
+                        let d = exact(r);
+                        if d > bound {
+                            abandoned += 1;
+                            None
+                        } else {
+                            Some(d)
+                        }
+                    },
+                    |&(i, j)| (i * 100 + j) as u64,
+                );
+                let (full, full_stats) = t.nearest_with_tie(
+                    k,
+                    lower,
+                    |r, _, _| Some(exact(r)),
+                    |&(i, j)| (i * 100 + j) as u64,
+                );
+                assert!(abandoned > 0, "q={q:?} k={k}: nothing abandoned");
+                assert_eq!(bounded_stats, full_stats, "q={q:?} k={k}");
+                let ids = |v: &[Neighbor<'_, (usize, usize)>]| {
+                    v.iter()
+                        .map(|n| (*n.item, n.distance.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(ids(&bounded), ids(&full), "q={q:?} k={k}");
+            }
         }
     }
 }

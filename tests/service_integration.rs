@@ -167,6 +167,18 @@ fn http_facade_matches_in_process_execution() {
     assert!(snap.http_requests >= 3);
 }
 
+/// The server's in-flight gauge, read over the wire (`STATS`, which is
+/// itself never counted as in flight).
+fn in_flight(client: &mut Client) -> u64 {
+    let json = client.stats_json().unwrap();
+    let tail = json
+        .split("\"in_flight\":")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no in_flight gauge in {json}"));
+    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
 #[test]
 fn register_completes_while_server_chews_a_long_batch() {
     // The acceptance criterion for the batch-lock fix, through the full
@@ -195,7 +207,17 @@ fn register_completes_while_server_chews_a_long_batch() {
             (slots, Instant::now())
         })
     };
-    std::thread::sleep(Duration::from_millis(30));
+    // Wait until the server has admitted the batch instead of sleeping a
+    // fixed time: the in-flight gauge counts the batch as one job from
+    // admission until its last query has run, so once it reads non-zero
+    // the writer below registers while the batch is being served.
+    let mut monitor = Client::connect(addr).unwrap();
+    monitor.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while in_flight(&mut monitor) == 0 {
+        assert!(Instant::now() < deadline, "the batch was never admitted");
+        std::thread::sleep(Duration::from_micros(100));
+    }
     shared
         .register(
             SeriesRelation::from_series("fresh", RandomWalkGenerator::new(43).relation(12, 32))
