@@ -11,15 +11,18 @@
 //! false dismissals; tests assert exact agreement with linear scans.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tsq_dft::FftPlanner;
-use tsq_rtree::{PagedTree, RStarTree, RTreeConfig, Rect, SearchStats};
+use tsq_rtree::{
+    nearest_source, search_source, PagedTree, RStarTree, RTreeConfig, Rect, SearchStats,
+};
 use tsq_series::{NormalForm, TimeSeries};
 use tsq_store::{Decoder, Encoder, StoreError};
 
 use crate::error::{Error, Result};
 use crate::features::{FeatureSchema, Features};
+use crate::nodes::Nodes;
 use crate::space::{QueryWindow, SpaceKind};
 use crate::transform::LinearTransform;
 
@@ -96,16 +99,15 @@ pub struct QueryStats {
 /// file behind a pin-counted LRU buffer pool; every traversal then
 /// fetches nodes through the pool, and query statistics carry *measured*
 /// `pool_hits`/`pool_misses` next to the simulated node-visit counters.
+/// Either way the traversals are the same code: the storage is one
+/// [`tsq_rtree::NodeSource`].
 #[derive(Debug, Clone)]
 pub struct SimilarityIndex {
     config: IndexConfig,
     series_len: usize,
-    tree: RStarTree<usize>,
+    /// The node storage every traversal runs over.
+    pub(crate) nodes: Nodes,
     store: Vec<StoredSeries>,
-    /// Paged node storage; when set, `tree` is empty and every traversal
-    /// goes through the page file's buffer pool. Shared so clones reuse
-    /// one pool (and its cumulative counters).
-    paged: Option<Arc<PagedTree>>,
 }
 
 impl SimilarityIndex {
@@ -132,9 +134,8 @@ impl SimilarityIndex {
         Ok(SimilarityIndex {
             config,
             series_len,
-            tree,
+            nodes: Nodes::Memory(tree),
             store,
-            paged: None,
         })
     }
 
@@ -170,7 +171,7 @@ impl SimilarityIndex {
                 (Rect::from_point(&coords), id)
             })
             .collect();
-        self.tree = Self::pack_tree(&self.config, points);
+        self.nodes = Nodes::Memory(Self::pack_tree(&self.config, points));
     }
 
     /// Appends values to the end of one stored series, re-extracting that
@@ -207,7 +208,7 @@ impl SimilarityIndex {
     ///
     /// [`extend_series`]: SimilarityIndex::extend_series
     pub fn extend_series_batch(&mut self, edits: &[(usize, &[f64])]) -> Result<()> {
-        if self.paged.is_some() {
+        if self.is_paged() {
             return Err(Error::Unsupported(
                 "append to a relation with paged storage attached".to_string(),
             ));
@@ -266,7 +267,7 @@ impl SimilarityIndex {
     /// Same failure modes as [`SimilarityIndex::push_series`], checked
     /// for every series.
     pub fn push_series_batch(&mut self, series: Vec<TimeSeries>) -> Result<Vec<usize>> {
-        if self.paged.is_some() {
+        if self.is_paged() {
             return Err(Error::Unsupported(
                 "append to a relation with paged storage attached".to_string(),
             ));
@@ -299,17 +300,17 @@ impl SimilarityIndex {
     /// [`Error::Unsupported`] when paged storage is attached (the page
     /// file is immutable).
     pub fn insert(&mut self, series: TimeSeries) -> Result<usize> {
-        if self.paged.is_some() {
+        let Nodes::Memory(tree) = &mut self.nodes else {
             return Err(Error::Unsupported(
                 "insert into a relation with paged storage attached".to_string(),
             ));
-        }
+        };
         let mut planner = FftPlanner::new();
         let features = Features::extract(&series, self.config.schema, &mut planner)?;
         let coords = self.config.space.point(&features, self.config.schema);
         let id = self.store.len();
         self.series_len = self.series_len.max(series.len());
-        self.tree.insert(Rect::from_point(&coords), id);
+        tree.insert(Rect::from_point(&coords), id);
         self.store.push(StoredSeries { series, features });
         Ok(id)
     }
@@ -372,17 +373,24 @@ impl SimilarityIndex {
     /// storage is attached — the nodes then live in the page file (see
     /// [`SimilarityIndex::paged`]).
     pub fn tree(&self) -> &RStarTree<usize> {
-        &self.tree
+        static EMPTY: OnceLock<RStarTree<usize>> = OnceLock::new();
+        match &self.nodes {
+            Nodes::Memory(tree) => tree,
+            Nodes::Paged(_) => EMPTY.get_or_init(RStarTree::default),
+        }
     }
 
     /// The paged node storage, when attached.
     pub fn paged(&self) -> Option<&PagedTree> {
-        self.paged.as_deref()
+        match &self.nodes {
+            Nodes::Memory(_) => None,
+            Nodes::Paged(paged) => Some(paged),
+        }
     }
 
     /// True when the relation's nodes live in a page file.
     pub fn is_paged(&self) -> bool {
-        self.paged.is_some()
+        self.paged().is_some()
     }
 
     /// Switches the relation to paged node storage: writes a page file at
@@ -402,15 +410,14 @@ impl SimilarityIndex {
     /// [`Error::Store`] on I/O failure or when the configured fan-out
     /// exceeds the maximum page size.
     pub fn attach_paged(&mut self, path: &Path, capacity_pages: usize) -> Result<()> {
-        if self.paged.is_some() {
+        let Nodes::Memory(tree) = &self.nodes else {
             return Err(Error::Unsupported(
                 "paged storage is already attached".to_string(),
             ));
-        }
-        self.tree.write_paged(path, |&id| id as u64)?;
+        };
+        tree.write_paged(path, |&id| id as u64)?;
         let paged = PagedTree::open(path, capacity_pages)?;
-        self.tree = RStarTree::new(self.config.rtree);
-        self.paged = Some(Arc::new(paged));
+        self.nodes = Nodes::Paged(Arc::new(paged));
         Ok(())
     }
 
@@ -422,7 +429,7 @@ impl SimilarityIndex {
     /// # Errors
     /// Same failure modes as [`SimilarityIndex::attach_paged`].
     pub fn attach_paged_budget(&mut self, path: &Path, budget_bytes: u64) -> Result<()> {
-        let dims = self.tree.dims().unwrap_or(0);
+        let dims = self.tree().dims().unwrap_or(0);
         let page_size = tsq_rtree::paged::page_size_for(&self.config.rtree, dims)? as u64;
         let capacity = usize::try_from(budget_bytes / page_size).unwrap_or(usize::MAX);
         self.attach_paged(path, capacity.max(1))
@@ -445,12 +452,12 @@ impl SimilarityIndex {
             crate::store::write_series(enc, &stored.series);
             crate::store::write_features(enc, &stored.features);
         }
-        match &self.paged {
-            Some(paged) => {
+        match &self.nodes {
+            Nodes::Memory(tree) => tree.write_to(enc, &mut |e, &id| e.usize(id)),
+            Nodes::Paged(paged) => {
                 let tree = paged.materialize(|id| id as usize)?;
                 tree.write_to(enc, &mut |e, &id| e.usize(id));
             }
-            None => self.tree.write_to(enc, &mut |e, &id| e.usize(id)),
         }
         Ok(())
     }
@@ -544,9 +551,8 @@ impl SimilarityIndex {
         Ok(SimilarityIndex {
             config,
             series_len,
-            tree,
+            nodes: Nodes::Memory(tree),
             store,
-            paged: None,
         })
     }
 
@@ -659,22 +665,24 @@ impl SimilarityIndex {
         let qrect = space.search_rect(qf, schema, eps, window);
         // 2. Search: transform every MBR on the fly; collect candidates.
         // The identity fast path skips the per-rectangle transformation.
-        let (ids, index_stats) = if threads <= 1 || self.paged.is_some() {
+        let (ids, index_stats) = match &self.nodes {
+            Nodes::Memory(tree) if threads > 1 => {
+                let identity = !force_transform && t.is_identity(1e-12);
+                let intersects = |r: &Rect| r.intersects(&qrect);
+                let transformed = |r: &Rect| space.transformed_intersects(r, t, schema, &qrect);
+                let (candidates, stats) = if identity {
+                    tree.search_with_parallel(intersects, threads)
+                } else {
+                    tree.search_with_parallel(transformed, threads)
+                };
+                (candidates.into_iter().map(|(_, &id)| id).collect(), stats)
+            }
             // Sequential: the one filter implementation, shared with the
             // per-series probes of an index join. Paged storage always
             // takes this path — node fetches serialize through the buffer
-            // pool, and the answer is identical either way.
-            self.filter_rect(&qrect, t, force_transform)?
-        } else {
-            let identity = !force_transform && t.is_identity(1e-12);
-            let intersects = |r: &Rect| r.intersects(&qrect);
-            let transformed = |r: &Rect| space.transformed_intersects(r, t, schema, &qrect);
-            let (candidates, stats) = if identity {
-                self.tree.search_with_parallel(intersects, threads)
-            } else {
-                self.tree.search_with_parallel(transformed, threads)
-            };
-            (candidates.into_iter().map(|(_, &id)| id).collect(), stats)
+            // pool, which keeps its counters deterministic, and the answer
+            // is identical either way.
+            _ => self.filter_rect(&qrect, t, force_transform)?,
         };
         // 3. Post-processing: exact distance on full records.
         let mut stats = QueryStats {
@@ -725,32 +733,14 @@ impl SimilarityIndex {
         t: &LinearTransform,
         force_transform: bool,
     ) -> Result<(Vec<usize>, SearchStats)> {
-        let schema = self.config.schema;
-        let space = self.config.space;
-        let identity = !force_transform && t.is_identity(1e-12);
+        let (space, schema) = (self.config.space, self.config.schema);
         let mut ids = Vec::new();
-        let stats = match &self.paged {
-            Some(paged) => {
-                if identity {
-                    paged.search_with(|r| r.intersects(qrect), |_, item| ids.push(item as usize))?
-                } else {
-                    paged.search_with(
-                        |r| space.transformed_intersects(r, t, schema, qrect),
-                        |_, item| ids.push(item as usize),
-                    )?
-                }
-            }
-            None => {
-                if identity {
-                    self.tree
-                        .search_with(|r| r.intersects(qrect), |_, &id| ids.push(id))
-                } else {
-                    self.tree.search_with(
-                        |r| space.transformed_intersects(r, t, schema, qrect),
-                        |_, &id| ids.push(id),
-                    )
-                }
-            }
+        let push = |_: &Rect, id| ids.push(id);
+        let stats = if !force_transform && t.is_identity(1e-12) {
+            search_source(&self.nodes, |r| r.intersects(qrect), push)?
+        } else {
+            let transformed = |r: &Rect| space.transformed_intersects(r, t, schema, qrect);
+            search_source(&self.nodes, transformed, push)?
         };
         Ok((ids, stats))
     }
@@ -772,50 +762,20 @@ impl SimilarityIndex {
         let schema = self.config.schema;
         let space = self.config.space;
         let mut exact_checks = 0usize;
-        let (matches, index_stats) = match &self.paged {
-            Some(paged) => {
-                let (neighbors, index_stats) = paged.nearest_with_tie(
-                    k,
-                    |rect| space.transformed_lower_bound(rect, t, schema, &qf),
-                    |_, item, bound| {
-                        exact_checks += 1;
-                        self.knn_distance(item as usize, t, &qf, bound)
-                    },
-                    // Break exact-distance ties by series id: the answer set
-                    // is then a pure function of the data, independent of
-                    // tree shape — what sharded k-way merges rely on.
-                    |item| item,
-                )?;
-                let matches = neighbors
-                    .into_iter()
-                    .map(|n| Match {
-                        id: n.item as usize,
-                        distance: n.distance,
-                    })
-                    .collect::<Vec<Match>>();
-                (matches, index_stats)
-            }
-            None => {
-                let (neighbors, index_stats) = self.tree.nearest_with_tie(
-                    k,
-                    |rect| space.transformed_lower_bound(rect, t, schema, &qf),
-                    |_, &id, bound| {
-                        exact_checks += 1;
-                        self.knn_distance(id, t, &qf, bound)
-                    },
-                    // Same tie-break as the paged arm: (distance, id).
-                    |&id| id as u64,
-                );
-                let matches = neighbors
-                    .into_iter()
-                    .map(|n| Match {
-                        id: *n.item,
-                        distance: n.distance,
-                    })
-                    .collect::<Vec<Match>>();
-                (matches, index_stats)
-            }
-        };
+        let (matches, index_stats) = nearest_source(
+            &self.nodes,
+            k,
+            |rect| space.transformed_lower_bound(rect, t, schema, &qf),
+            |_, id, bound| {
+                exact_checks += 1;
+                self.knn_distance(id, t, &qf, bound)
+            },
+            // Break exact-distance ties by series id: the answer set is
+            // then a pure function of the data, independent of tree shape
+            // — what sharded k-way merges rely on.
+            |id| id as u64,
+            |distance, _, id| Match { id, distance },
+        )?;
         let stats = QueryStats {
             index: index_stats,
             candidates: matches.len(),

@@ -47,10 +47,11 @@
 //! ## Concurrency
 //!
 //! The [`executor`] module adds a std-only worker-pool layer:
-//! [`QueryExecutor`] fans a batch of queries over scoped threads with
-//! per-batch [`BatchStats`], [`SimilarityIndex::range_query_parallel`]
-//! parallelizes the filter and refine phases *within* one query, and the
-//! heavy build paths — STR bulk loading and sliding-DFT trail extraction
+//! [`executor::parallel_map`] fans work over the persistent pool (the
+//! query language's batch path runs a batch of queries through it),
+//! [`SimilarityIndex::range_query_parallel`] parallelizes the filter and
+//! refine phases *within* one query, and the heavy build paths — STR
+//! bulk loading and sliding-DFT trail extraction
 //! ([`SubseqIndex::build_parallel`]) — partition their input across
 //! threads. Every parallel path returns results byte-identical to its
 //! sequential oracle regardless of thread count.
@@ -75,6 +76,7 @@ pub mod executor;
 pub mod features;
 pub mod geometry;
 pub mod index;
+mod nodes;
 pub mod plan;
 pub mod queries;
 pub mod relation;
@@ -86,7 +88,7 @@ pub mod subseq;
 pub mod transform;
 
 pub use error::{Error, Result};
-pub use executor::{BatchQuery, BatchStats, CancelToken, QueryExecutor, SubseqBatchQuery};
+pub use executor::CancelToken;
 pub use features::{FeatureSchema, Features};
 pub use index::{IndexConfig, Match, QueryStats, SimilarityIndex, StoredSeries};
 pub use plan::{

@@ -15,7 +15,7 @@
 //! pair **twice** (once per direction), exactly as the paper tabulates
 //! (`12` for methods a/b vs `12 x 2 = 24` for method d).
 
-use tsq_rtree::{spatial_join_with, SearchStats};
+use tsq_rtree::{join_sources, Rect, SearchStats};
 
 use crate::error::{Error, Result};
 use crate::features::Features;
@@ -202,51 +202,25 @@ impl SimilarityIndex {
         let space = self.config().space;
         let mut out = JoinOutcome::default();
         let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
-        let stats = match self.paged() {
-            // Paged traversal: node memory is recycled by the buffer pool,
-            // so rectangle addresses are not stable keys — transform each
-            // MBR on use. The bound values (and therefore the pruning and
-            // the counters) are identical to the memoized in-memory path.
-            Some(paged) => paged.self_join_with(
-                |ra, rb| {
-                    space.pair_lower_bound_pretransformed(
-                        &space.transform_mbr(ra, t, schema),
-                        &space.transform_mbr(rb, t, schema),
-                        schema,
-                    )
-                },
-                eps,
-                |_, ia, _, ib| candidate_pairs.push((ia as usize, ib as usize)),
-            )?,
-            None => {
-                // The synchronized join revisits the same node MBRs many
-                // times (once per pairing); memoize their transformed
-                // images by address. Stored rectangles are pinned for the
-                // duration of the traversal, so the address is a stable
-                // key.
-                let mut cache: std::collections::HashMap<usize, tsq_rtree::Rect> =
-                    std::collections::HashMap::new();
-                let mut transformed = |r: &tsq_rtree::Rect| -> tsq_rtree::Rect {
-                    cache
-                        .entry(r as *const tsq_rtree::Rect as usize)
-                        .or_insert_with(|| space.transform_mbr(r, t, schema))
-                        .clone()
-                };
-                spatial_join_with(
-                    self.tree(),
-                    self.tree(),
-                    |ra, rb| {
-                        space.pair_lower_bound_pretransformed(
-                            &transformed(ra),
-                            &transformed(rb),
-                            schema,
-                        )
-                    },
-                    eps,
-                    |_, &ia, _, &ib| candidate_pairs.push((ia, ib)),
-                )
-            }
-        };
+        // The synchronized join revisits the same node MBRs many times
+        // (once per pairing); memoize their transformed images by slot,
+        // which names one stored rectangle for the whole traversal in
+        // either storage mode.
+        let mut memo: Vec<Option<Rect>> = Vec::new();
+        let stats = join_sources(
+            &self.nodes,
+            &self.nodes,
+            |sa, ra, sb, rb| {
+                memo.resize(memo.len().max(sa.max(sb) + 1), None);
+                for (slot, r) in [(sa, ra), (sb, rb)] {
+                    memo[slot].get_or_insert_with(|| space.transform_mbr(r, t, schema));
+                }
+                let [ta, tb] = [sa, sb].map(|s| memo[s].as_ref().expect("memoized above"));
+                space.pair_lower_bound_pretransformed(ta, tb, schema)
+            },
+            eps,
+            |_, ia, _, ib| candidate_pairs.push((ia, ib)),
+        )?;
         out.stats.index = stats;
         out.stats.candidates = candidate_pairs.len();
         // Feed runs of same-probe candidates to the shared refine path

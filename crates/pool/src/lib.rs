@@ -128,7 +128,8 @@ pub fn default_workers() -> usize {
 /// `ExecStats`: query counters are byte-identical between sequential and
 /// parallel execution (the repo-wide invariant), while task and steal
 /// counts inherently depend on scheduling. They surface through
-/// `BatchStats` deltas and the service `/metrics` endpoint instead.
+/// `tsq_core::executor::pool_stats` and the service `/metrics` endpoint
+/// instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Tasks executed by pool workers since the pool started.

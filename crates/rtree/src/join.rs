@@ -11,17 +11,168 @@
 //!   [`RStarTree::search_with`], which is what the paper's Table 1 methods
 //!   (c) and (d) do.
 
-use tsq_store::{StoreError, StoreResult};
+use std::collections::HashMap;
 
-use crate::node::{Entry, Node};
-use crate::page::PageId;
-use crate::paged::{PagedEntry, PagedTree};
+use tsq_store::StoreResult;
+
+use crate::paged::PagedTree;
 use crate::rect::Rect;
+use crate::source::{EntryView, NodeSource, NodeView};
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
-/// Synchronized R-tree join with a caller-supplied **lower bound** on the
-/// distance between the objects inside two stored rectangles.
+/// Names one stored rectangle for a whole join. Slots are numbered
+/// densely as the join first meets each node — its entries, then its own
+/// MBR — so per-rectangle work (a transformed MBR) can be memoized in a
+/// vector indexed by slot. Both sides of a self-join share the numbering.
+pub type Slot = usize;
+
+/// Synchronized join over any two [`NodeSource`]s: [`spatial_join_with`]
+/// with each rectangle's [`Slot`] passed next to it. When `a` and `b` are
+/// the same source, the literally-same entry (the same slot) is skipped.
+///
+/// # Errors
+/// Whatever either fetch reports, or [`NodeSource::empty_node`] for an
+/// empty node whose MBR a mixed-level pair needs.
+///
+/// # Panics
+/// If `eps` is negative.
+pub fn join_sources<'s, SA, SB, B, OUT, E>(
+    a: &'s SA,
+    b: &'s SB,
+    pair_bound: B,
+    eps: f64,
+    out: OUT,
+) -> Result<SearchStats, E>
+where
+    SA: NodeSource<Error = E>,
+    SB: NodeSource<Error = E>,
+    B: FnMut(Slot, &Rect, Slot, &Rect) -> f64,
+    OUT: FnMut(&Rect, SA::Item<'s>, &Rect, SB::Item<'s>),
+{
+    assert!(eps >= 0.0, "join distance must be non-negative");
+    let mut join = SyncJoin {
+        a,
+        b,
+        pair_bound,
+        eps,
+        out,
+        stats: SearchStats::default(),
+        slots: HashMap::new(),
+        next_slot: 0,
+    };
+    if let (Some(ra), Some(rb)) = (a.root(), b.root()) {
+        join.pair(ra, rb)?;
+    }
+    Ok(join.stats)
+}
+
+struct SyncJoin<'s, SA, SB, B, OUT> {
+    a: &'s SA,
+    b: &'s SB,
+    pair_bound: B,
+    eps: f64,
+    out: OUT,
+    stats: SearchStats,
+    /// First slot of each node met so far, by side and node key.
+    slots: HashMap<(bool, usize), Slot>,
+    next_slot: Slot,
+}
+
+impl<'s, SA, SB, B, OUT, E> SyncJoin<'s, SA, SB, B, OUT>
+where
+    SA: NodeSource<Error = E>,
+    SB: NodeSource<Error = E>,
+    B: FnMut(Slot, &Rect, Slot, &Rect) -> f64,
+    OUT: FnMut(&Rect, SA::Item<'s>, &Rect, SB::Item<'s>),
+{
+    /// Visits one node pair, keeping both fetched (pinned, when paged)
+    /// while the pair's children are visited.
+    fn pair(&mut self, ra: SA::Ref<'s>, rb: SB::Ref<'s>) -> Result<(), E> {
+        let na = self.a.fetch(ra, &mut self.stats)?;
+        let nb = self.b.fetch(rb, &mut self.stats)?;
+        self.stats.nodes_visited += 1;
+        let sa = self.first_slot(false, na.key(), na.len());
+        let sb = self.first_slot(true, nb.key(), nb.len());
+        if na.is_leaf() && nb.is_leaf() {
+            self.stats.leaves_visited += 1;
+            for ai in 0..na.len() {
+                let EntryView::Leaf(rect_a, item_a) = na.entry(ai) else {
+                    unreachable!("child entry in leaf")
+                };
+                for bi in 0..nb.len() {
+                    let EntryView::Leaf(rect_b, item_b) = nb.entry(bi) else {
+                        unreachable!("child entry in leaf")
+                    };
+                    // Skip the literally-same entry in a self-join.
+                    if sa + ai == sb + bi {
+                        continue;
+                    }
+                    self.stats.entries_tested += 1;
+                    if (self.pair_bound)(sa + ai, rect_a, sb + bi, rect_b) <= self.eps {
+                        self.stats.candidates += 1;
+                        (self.out)(rect_a, item_a, rect_b, item_b);
+                    }
+                }
+            }
+            return Ok(());
+        }
+        // Pair the children of an internal side with the children of the
+        // other side — or, when the other side is a leaf, with that leaf
+        // itself under its MBR.
+        let mbr_a = (na.is_leaf())
+            .then(|| na.mbr().ok_or_else(|| self.a.empty_node()))
+            .transpose()?;
+        let mbr_b = (nb.is_leaf())
+            .then(|| nb.mbr().ok_or_else(|| self.b.empty_node()))
+            .transpose()?;
+        for ai in 0..mbr_a.as_ref().map_or(na.len(), |_| 1) {
+            let (slot_a, rect_a, ca) = descent(&na, sa, ra, mbr_a.as_ref(), ai);
+            for bi in 0..mbr_b.as_ref().map_or(nb.len(), |_| 1) {
+                let (slot_b, rect_b, cb) = descent(&nb, sb, rb, mbr_b.as_ref(), bi);
+                self.stats.entries_tested += 1;
+                if (self.pair_bound)(slot_a, rect_a, slot_b, rect_b) <= self.eps {
+                    self.pair(ca, cb)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The first slot of a node of `len` entries; its MBR takes the slot
+    /// after its entries. A self-join numbers both sides alike.
+    fn first_slot(&mut self, side_b: bool, key: usize, len: usize) -> Slot {
+        let side = side_b && !std::ptr::addr_eq(self.a, self.b);
+        let next = &mut self.next_slot;
+        *self.slots.entry((side, key)).or_insert_with(|| {
+            *next += len + 1;
+            *next - len - 1
+        })
+    }
+}
+
+/// The `i`-th descent of one side of a node pair whose first slot is
+/// `first`: the node's `i`-th child, or — given the leaf's `mbr` — the
+/// leaf `node` itself.
+fn descent<'n, V: NodeView>(
+    node: &'n V,
+    first: Slot,
+    me: V::Ref,
+    mbr: Option<&'n Rect>,
+    i: usize,
+) -> (Slot, &'n Rect, V::Ref) {
+    if let Some(mbr) = mbr {
+        return (first + node.len(), mbr, me);
+    }
+    let EntryView::Child(rect, child) = node.entry(i) else {
+        unreachable!("leaf entry in internal node")
+    };
+    (first + i, rect, child)
+}
+
+/// Synchronized R-tree join of two in-memory trees with a caller-supplied
+/// **lower bound** on the distance between the objects inside two stored
+/// rectangles — [`join_sources`] without the slots.
 ///
 /// `pair_bound(ra, rb)` receives *stored* rectangles from either tree and
 /// must return a value that never exceeds the true distance between any
@@ -50,12 +201,13 @@ where
     B: FnMut(&Rect, &Rect) -> f64,
     OUT: FnMut(&'a Rect, &'a T, &'a Rect, &'a U),
 {
-    assert!(eps >= 0.0, "join distance must be non-negative");
-    let mut stats = SearchStats::default();
-    if a.is_empty() || b.is_empty() {
-        return stats;
-    }
-    join_rec(&a.root, &b.root, &mut pair_bound, eps, &mut out, &mut stats);
+    let Ok(stats) = join_sources(
+        a,
+        b,
+        |_, ra, _, rb| pair_bound(ra, rb),
+        eps,
+        |_, (ra, ia), _, (rb, ib)| out(ra, ia, rb, ib),
+    );
     stats
 }
 
@@ -86,91 +238,10 @@ where
     )
 }
 
-fn join_rec<'a, T, U, B, OUT>(
-    na: &'a Node<T>,
-    nb: &'a Node<U>,
-    pair_bound: &mut B,
-    eps: f64,
-    out: &mut OUT,
-    stats: &mut SearchStats,
-) where
-    B: FnMut(&Rect, &Rect) -> f64,
-    OUT: FnMut(&'a Rect, &'a T, &'a Rect, &'a U),
-{
-    stats.nodes_visited += 1;
-    match (na.is_leaf(), nb.is_leaf()) {
-        (true, true) => {
-            stats.leaves_visited += 1;
-            for ea in &na.entries {
-                let (ra, ia) = match ea {
-                    Entry::Leaf { rect, item } => (rect, item),
-                    Entry::Node { .. } => unreachable!("node entry in leaf"),
-                };
-                for eb in &nb.entries {
-                    let (rb, ib) = match eb {
-                        Entry::Leaf { rect, item } => (rect, item),
-                        Entry::Node { .. } => unreachable!("node entry in leaf"),
-                    };
-                    // Skip the literally-same entry in a self-join.
-                    if std::ptr::eq(ra as *const Rect, rb as *const Rect) {
-                        continue;
-                    }
-                    stats.entries_tested += 1;
-                    if pair_bound(ra, rb) <= eps {
-                        stats.candidates += 1;
-                        out(ra, ia, rb, ib);
-                    }
-                }
-            }
-        }
-        (false, true) => {
-            for ea in &na.entries {
-                if let Entry::Node { rect, child } = ea {
-                    stats.entries_tested += 1;
-                    if pair_bound(rect, &nb.mbr()) <= eps {
-                        join_rec(child, nb, pair_bound, eps, out, stats);
-                    }
-                }
-            }
-        }
-        (true, false) => {
-            for eb in &nb.entries {
-                if let Entry::Node { rect, child } = eb {
-                    stats.entries_tested += 1;
-                    if pair_bound(&na.mbr(), rect) <= eps {
-                        join_rec(na, child, pair_bound, eps, out, stats);
-                    }
-                }
-            }
-        }
-        (false, false) => {
-            for ea in &na.entries {
-                let (ra, ca) = match ea {
-                    Entry::Node { rect, child } => (rect, child),
-                    Entry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-                };
-                for eb in &nb.entries {
-                    let (rb, cb) = match eb {
-                        Entry::Node { rect, child } => (rect, child),
-                        Entry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-                    };
-                    stats.entries_tested += 1;
-                    if pair_bound(ra, rb) <= eps {
-                        join_rec(ca, cb, pair_bound, eps, out, stats);
-                    }
-                }
-            }
-        }
-    }
-}
-
 impl PagedTree {
-    /// Paged twin of [`spatial_join_with`] for the self-join case (the
-    /// only join shape the engine ever runs — every `JOIN` is a
-    /// single-relation self-join). The traversal mirrors the in-memory
-    /// synchronized join pair-visit for pair-visit; the in-memory
-    /// version's "same slot" pointer check becomes an index check: the
-    /// literally-same entry is the same `(page, entry index)`.
+    /// [`join_sources`] of the paged tree with itself (the only join
+    /// shape the engine runs — every `JOIN` is a single-relation
+    /// self-join).
     ///
     /// # Errors
     /// Typed [`tsq_store::StoreError`]s when a page cannot be read or
@@ -182,125 +253,14 @@ impl PagedTree {
         &self,
         mut pair_bound: B,
         eps: f64,
-        mut out: OUT,
+        out: OUT,
     ) -> StoreResult<SearchStats>
     where
         B: FnMut(&Rect, &Rect) -> f64,
         OUT: FnMut(&Rect, u64, &Rect, u64),
     {
-        assert!(eps >= 0.0, "join distance must be non-negative");
-        let mut stats = SearchStats::default();
-        if self.is_empty() {
-            return Ok(stats);
-        }
-        self.join_pages(
-            self.root(),
-            self.root_level(),
-            self.root(),
-            self.root_level(),
-            &mut pair_bound,
-            eps,
-            &mut out,
-            &mut stats,
-        )?;
-        Ok(stats)
+        join_sources(self, self, |_, ra, _, rb| pair_bound(ra, rb), eps, out)
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn join_pages<B, OUT>(
-        &self,
-        pa: PageId,
-        la: u32,
-        pb: PageId,
-        lb: u32,
-        pair_bound: &mut B,
-        eps: f64,
-        out: &mut OUT,
-        stats: &mut SearchStats,
-    ) -> StoreResult<()>
-    where
-        B: FnMut(&Rect, &Rect) -> f64,
-        OUT: FnMut(&Rect, u64, &Rect, u64),
-    {
-        // Both pins live across the recursion; visiting the pair (p, p)
-        // pins the same page twice, which the pool counts as one miss and
-        // one hit (or two hits) — the honest I/O accounting.
-        let na = self.fetch(pa, la, stats)?;
-        let nb = self.fetch(pb, lb, stats)?;
-        stats.nodes_visited += 1;
-        match (na.is_leaf(), nb.is_leaf()) {
-            (true, true) => {
-                stats.leaves_visited += 1;
-                for (ai, ea) in na.entries.iter().enumerate() {
-                    let (ra, ia) = match ea {
-                        PagedEntry::Leaf { rect, item } => (rect, *item),
-                        PagedEntry::Child { .. } => unreachable!("child entry in leaf"),
-                    };
-                    for (bi, eb) in nb.entries.iter().enumerate() {
-                        let (rb, ib) = match eb {
-                            PagedEntry::Leaf { rect, item } => (rect, *item),
-                            PagedEntry::Child { .. } => unreachable!("child entry in leaf"),
-                        };
-                        // Skip the literally-same entry in the self-join.
-                        if pa == pb && ai == bi {
-                            continue;
-                        }
-                        stats.entries_tested += 1;
-                        if pair_bound(ra, rb) <= eps {
-                            stats.candidates += 1;
-                            out(ra, ia, rb, ib);
-                        }
-                    }
-                }
-            }
-            (false, true) => {
-                let mbr_b = node_mbr(&nb)?;
-                for ea in &na.entries {
-                    if let PagedEntry::Child { rect, page } = ea {
-                        stats.entries_tested += 1;
-                        if pair_bound(rect, &mbr_b) <= eps {
-                            self.join_pages(*page, la - 1, pb, lb, pair_bound, eps, out, stats)?;
-                        }
-                    }
-                }
-            }
-            (true, false) => {
-                let mbr_a = node_mbr(&na)?;
-                for eb in &nb.entries {
-                    if let PagedEntry::Child { rect, page } = eb {
-                        stats.entries_tested += 1;
-                        if pair_bound(&mbr_a, rect) <= eps {
-                            self.join_pages(pa, la, *page, lb - 1, pair_bound, eps, out, stats)?;
-                        }
-                    }
-                }
-            }
-            (false, false) => {
-                for ea in &na.entries {
-                    let (ra, ca) = match ea {
-                        PagedEntry::Child { rect, page } => (rect, *page),
-                        PagedEntry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-                    };
-                    for eb in &nb.entries {
-                        let (rb, cb) = match eb {
-                            PagedEntry::Child { rect, page } => (rect, *page),
-                            PagedEntry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-                        };
-                        stats.entries_tested += 1;
-                        if pair_bound(ra, rb) <= eps {
-                            self.join_pages(ca, la - 1, cb, lb - 1, pair_bound, eps, out, stats)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-fn node_mbr(node: &crate::paged::PagedNode) -> StoreResult<Rect> {
-    node.mbr()
-        .ok_or_else(|| StoreError::corrupt("empty node in page file"))
 }
 
 #[cfg(test)]
@@ -338,23 +298,41 @@ mod tests {
         let pts_b: Vec<[f64; 2]> = (0..60)
             .map(|i| [((i * 71) % 103) as f64, ((i * 29) % 89) as f64])
             .collect();
-        let a = tree_from(&pts_a);
-        let b = tree_from(&pts_b);
         let eps = 7.5;
-        let mut got = Vec::new();
-        spatial_join(&a, &b, id, id, eps, |_, &x, _, &y| got.push((x, y)));
-        got.sort_unstable();
-        let mut want = Vec::new();
-        for (i, pa) in pts_a.iter().enumerate() {
-            for (j, pb) in pts_b.iter().enumerate() {
-                let d2 = (pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2);
-                if d2 <= eps * eps {
-                    want.push((i, j));
+        let brute = |pts_a: &[[f64; 2]], pts_b: &[[f64; 2]]| {
+            let mut want = Vec::new();
+            for (i, pa) in pts_a.iter().enumerate() {
+                for (j, pb) in pts_b.iter().enumerate() {
+                    let d2 = (pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2);
+                    if d2 <= eps * eps {
+                        want.push((i, j));
+                    }
                 }
             }
-        }
-        want.sort_unstable();
-        assert_eq!(got, want);
+            want
+        };
+        let joined = |a: &RStarTree<usize>, b: &RStarTree<usize>| {
+            let mut got = Vec::new();
+            spatial_join(a, b, id, id, eps, |_, &x, _, &y| got.push((x, y)));
+            got.sort_unstable();
+            got
+        };
+        let a = tree_from(&pts_a);
+        let b = tree_from(&pts_b);
+        assert_eq!(joined(&a, &b), brute(&pts_a, &pts_b));
+        // Trees of different heights reach the mixed-level pairs (a leaf
+        // against an internal node, in both orders).
+        let pts_c: Vec<[f64; 2]> = (0..12)
+            .map(|i| [((i * 41) % 97) as f64, ((i * 13) % 83) as f64])
+            .collect();
+        let c = tree_from(&pts_c);
+        assert_ne!(
+            a.height(),
+            c.height(),
+            "the mixed-level pair needs unequal heights"
+        );
+        assert_eq!(joined(&a, &c), brute(&pts_a, &pts_c));
+        assert_eq!(joined(&c, &a), brute(&pts_c, &pts_a));
     }
 
     #[test]

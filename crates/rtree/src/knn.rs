@@ -30,22 +30,23 @@ use std::collections::BinaryHeap;
 
 use tsq_store::StoreResult;
 
-use crate::node::Entry;
-use crate::page::PageId;
-use crate::paged::{PagedEntry, PagedTree};
+use crate::paged::PagedTree;
 use crate::rect::Rect;
+use crate::source::{EntryView, NodeSource, NodeView};
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
-/// One nearest-neighbor result.
+/// One nearest-neighbor result: a borrowed rectangle and item from the
+/// in-memory tree, an owned rectangle and the payload word from the paged
+/// tree (whose page may be evicted before the caller looks).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor<'a, T> {
+pub struct Neighbor<R, I> {
     /// Exact distance reported by the caller's distance function.
     pub distance: f64,
     /// Stored bounding rectangle of the item.
-    pub rect: &'a Rect,
+    pub rect: R,
     /// The item.
-    pub item: &'a T,
+    pub item: I,
 }
 
 /// A node waiting on the best-first heap at its lower-bound distance.
@@ -83,10 +84,10 @@ struct TopK<N> {
 }
 
 impl<N> TopK<N> {
-    fn new(k: usize, capacity: usize) -> Self {
+    fn new(k: usize) -> Self {
         TopK {
             k,
-            best: Vec::with_capacity(capacity),
+            best: Vec::new(),
             tied_drops: 0,
         }
     }
@@ -140,6 +141,74 @@ impl<N> TopK<N> {
     }
 }
 
+/// Best-first search over any [`NodeSource`]: the `k` items minimizing
+/// `exact_dist`, with `bound_dist` an admissible (never over-estimating)
+/// lower bound on node MBRs, as `hit(distance, rect, item)` results sorted
+/// by ascending `(distance, tie_key)`.
+///
+/// `exact_dist(rect, item, bound)` may abandon — return `None` — once the
+/// item's distance is certainly strictly greater than `bound`, the
+/// current `k`-th distance (`+∞` until `k` results exist); see the
+/// [module docs](self). The loop only prunes nodes strictly beyond the
+/// `k`-th distance, so every item tied at the boundary is examined and
+/// the smallest keys win the boundary slots.
+///
+/// # Errors
+/// Whatever the source's fetch reports.
+pub fn nearest_source<'s, S, B, E, K, H, N>(
+    src: &'s S,
+    k: usize,
+    mut bound_dist: B,
+    mut exact_dist: E,
+    mut tie_key: K,
+    mut hit: H,
+) -> Result<(Vec<N>, SearchStats), S::Error>
+where
+    S: NodeSource,
+    B: FnMut(&Rect) -> f64,
+    E: FnMut(&Rect, S::Item<'s>, f64) -> Option<f64>,
+    K: FnMut(S::Item<'s>) -> u64,
+    H: FnMut(f64, &Rect, S::Item<'s>) -> N,
+{
+    let mut stats = SearchStats::default();
+    let Some(root) = src.root().filter(|_| k > 0) else {
+        return Ok((Vec::new(), stats));
+    };
+    let mut top = TopK::new(k);
+    let mut heap = BinaryHeap::new();
+    heap.push(Queued {
+        dist: 0.0,
+        node: root,
+    });
+    while let Some(Queued { dist, node }) = heap.pop() {
+        if dist > top.bound() {
+            break; // nothing on the heap can beat the current k-th
+        }
+        let node = src.fetch(node, &mut stats)?;
+        stats.nodes_visited += 1;
+        if node.is_leaf() {
+            stats.leaves_visited += 1;
+        }
+        for i in 0..node.len() {
+            stats.entries_tested += 1;
+            match node.entry(i) {
+                EntryView::Leaf(rect, item) => {
+                    if let Some(distance) = exact_dist(rect, item, top.bound()) {
+                        let key = tie_key(item);
+                        top.offer(distance, key, hit(distance, rect, item));
+                    }
+                }
+                EntryView::Child(rect, child) => heap.push(Queued {
+                    dist: bound_dist(rect),
+                    node: child,
+                }),
+            }
+        }
+    }
+    stats.candidates = top.candidates();
+    Ok((top.into_sorted(), stats))
+}
+
 impl<T> RStarTree<T> {
     /// Returns the `k` items minimizing `exact_dist`, using `bound_dist` as
     /// an admissible (never over-estimating) lower bound on node MBRs.
@@ -154,12 +223,12 @@ impl<T> RStarTree<T> {
     /// the `k`-th boundary are kept in traversal order; use
     /// [`RStarTree::nearest_with_tie`] when the selection must be
     /// deterministic.
-    pub fn nearest_with<'a, B, E>(
-        &'a self,
+    pub fn nearest_with<B, E>(
+        &self,
         k: usize,
         bound_dist: B,
         exact_dist: E,
-    ) -> (Vec<Neighbor<'a, T>>, SearchStats)
+    ) -> (Vec<Neighbor<&Rect, &T>>, SearchStats)
     where
         B: FnMut(&Rect) -> f64,
         E: FnMut(&Rect, &T, f64) -> Option<f64>,
@@ -169,82 +238,43 @@ impl<T> RStarTree<T> {
         self.nearest_with_tie(k, bound_dist, exact_dist, |_| 0)
     }
 
-    /// [`RStarTree::nearest_with`] with deterministic tie-breaking: among
-    /// items at equal exact distance, the ones with the smallest `tie_key`
-    /// win the boundary slots, and equal-distance results are ordered by
-    /// ascending key.
-    ///
-    /// The best-first loop only prunes when a node's lower bound is
-    /// *strictly* greater than the current `k`-th distance, and the exact
-    /// closure only abandons items strictly beyond it, so every item tied
-    /// at the boundary is examined — keying the insertion is enough to make
-    /// the retained set exactly the `k` smallest by `(distance, key)`.
-    /// Visit counters are identical to the unkeyed search.
-    pub fn nearest_with_tie<'a, B, E, K>(
-        &'a self,
+    /// [`nearest_source`] over the in-memory tree: deterministic
+    /// tie-breaking by ascending `tie_key` at the `k`-th boundary. Visit
+    /// counters are identical to the unkeyed search.
+    pub fn nearest_with_tie<B, E, K>(
+        &self,
         k: usize,
-        mut bound_dist: B,
+        bound_dist: B,
         mut exact_dist: E,
         mut tie_key: K,
-    ) -> (Vec<Neighbor<'a, T>>, SearchStats)
+    ) -> (Vec<Neighbor<&Rect, &T>>, SearchStats)
     where
         B: FnMut(&Rect) -> f64,
         E: FnMut(&Rect, &T, f64) -> Option<f64>,
         K: FnMut(&T) -> u64,
     {
-        let mut stats = SearchStats::default();
-        if k == 0 || self.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let mut top = TopK::new(k, k.min(self.len()));
-        let mut heap = BinaryHeap::new();
-        heap.push(Queued {
-            dist: 0.0,
-            node: &self.root,
-        });
-        while let Some(Queued { dist, node }) = heap.pop() {
-            if dist > top.bound() {
-                break; // nothing on the heap can beat the current k-th
-            }
-            stats.nodes_visited += 1;
-            if node.is_leaf() {
-                stats.leaves_visited += 1;
-            }
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                match entry {
-                    Entry::Leaf { rect, item } => {
-                        if let Some(distance) = exact_dist(rect, item, top.bound()) {
-                            let key = tie_key(item);
-                            top.offer(
-                                distance,
-                                key,
-                                Neighbor {
-                                    distance,
-                                    rect,
-                                    item,
-                                },
-                            );
-                        }
-                    }
-                    Entry::Node { rect, child } => heap.push(Queued {
-                        dist: bound_dist(rect),
-                        node: &**child,
-                    }),
-                }
-            }
-        }
-        stats.candidates = top.candidates();
-        (top.into_sorted(), stats)
+        let Ok(found) = nearest_source(
+            self,
+            k,
+            bound_dist,
+            |r, (_, item), bound| exact_dist(r, item, bound),
+            |(_, item)| tie_key(item),
+            |distance, _, (rect, item)| Neighbor {
+                distance,
+                rect,
+                item,
+            },
+        );
+        found
     }
 
     /// Euclidean k-nearest-neighbors of a query point, using `MINDIST`
     /// pruning on MBRs.
-    pub fn nearest_to_point<'a>(
-        &'a self,
+    pub fn nearest_to_point(
+        &self,
         k: usize,
         point: &[f64],
-    ) -> (Vec<Neighbor<'a, T>>, SearchStats) {
+    ) -> (Vec<Neighbor<&Rect, &T>>, SearchStats) {
         self.nearest_with(
             k,
             |rect| rect.min_dist2(point).sqrt(),
@@ -253,121 +283,53 @@ impl<T> RStarTree<T> {
     }
 }
 
-/// One nearest-neighbor result from a paged tree. Owns its rectangle —
-/// the page it came from may be evicted before the caller looks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedNeighbor {
-    /// Exact distance reported by the caller's distance function.
-    pub distance: f64,
-    /// Stored bounding rectangle of the item.
-    pub rect: Rect,
-    /// The stored payload word.
-    pub item: u64,
-}
-
 impl PagedTree {
-    /// Paged twin of [`RStarTree::nearest_with`]: the identical best-first
-    /// search — same heap discipline, same bounded refine, same tie
-    /// behavior, same counters — with node fetches going through the
-    /// buffer pool.
+    /// [`nearest_source`] over the paged tree: node fetches go through the
+    /// buffer pool, and each result owns a copy of its rectangle.
     ///
     /// # Errors
     /// Typed [`tsq_store::StoreError`]s when a page cannot be read or
     /// decodes as corrupt.
-    pub fn nearest_with<B, E>(
+    pub fn nearest_with_tie<B, E, K>(
         &self,
         k: usize,
         bound_dist: B,
         exact_dist: E,
-    ) -> StoreResult<(Vec<OwnedNeighbor>, SearchStats)>
-    where
-        B: FnMut(&Rect) -> f64,
-        E: FnMut(&Rect, u64, f64) -> Option<f64>,
-    {
-        self.nearest_with_tie(k, bound_dist, exact_dist, |_| 0)
-    }
-
-    /// Paged twin of [`RStarTree::nearest_with_tie`]: deterministic
-    /// boundary tie-breaking by ascending `tie_key`, identical counters.
-    ///
-    /// # Errors
-    /// Same as [`PagedTree::nearest_with`].
-    pub fn nearest_with_tie<B, E, K>(
-        &self,
-        k: usize,
-        mut bound_dist: B,
-        mut exact_dist: E,
-        mut tie_key: K,
-    ) -> StoreResult<(Vec<OwnedNeighbor>, SearchStats)>
+        tie_key: K,
+    ) -> StoreResult<(Vec<Neighbor<Rect, u64>>, SearchStats)>
     where
         B: FnMut(&Rect) -> f64,
         E: FnMut(&Rect, u64, f64) -> Option<f64>,
         K: FnMut(u64) -> u64,
     {
-        let mut stats = SearchStats::default();
-        if k == 0 || self.is_empty() {
-            return Ok((Vec::new(), stats));
-        }
-        let mut top = TopK::new(k, k.min(self.len()));
-        let mut heap: BinaryHeap<Queued<(PageId, u32)>> = BinaryHeap::new();
-        heap.push(Queued {
-            dist: 0.0,
-            node: (self.root(), self.root_level()),
-        });
-        while let Some(Queued {
-            dist,
-            node: (id, level),
-        }) = heap.pop()
-        {
-            if dist > top.bound() {
-                break; // nothing on the heap can beat the current k-th
-            }
-            let node = self.fetch(id, level, &mut stats)?;
-            stats.nodes_visited += 1;
-            if node.is_leaf() {
-                stats.leaves_visited += 1;
-            }
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                match entry {
-                    PagedEntry::Leaf { rect, item } => {
-                        if let Some(distance) = exact_dist(rect, *item, top.bound()) {
-                            let key = tie_key(*item);
-                            top.offer(
-                                distance,
-                                key,
-                                OwnedNeighbor {
-                                    distance,
-                                    rect: rect.clone(),
-                                    item: *item,
-                                },
-                            );
-                        }
-                    }
-                    PagedEntry::Child { rect, page } => heap.push(Queued {
-                        dist: bound_dist(rect),
-                        node: (*page, level - 1),
-                    }),
-                }
-            }
-        }
-        stats.candidates = top.candidates();
-        Ok((top.into_sorted(), stats))
+        nearest_source(
+            self,
+            k,
+            bound_dist,
+            exact_dist,
+            tie_key,
+            |distance, rect, item| Neighbor {
+                distance,
+                rect: rect.clone(),
+                item,
+            },
+        )
     }
 
-    /// Paged twin of [`RStarTree::nearest_to_point`].
+    /// Euclidean k-nearest-neighbors of a query point over the paged tree.
     ///
     /// # Errors
-    /// Same as [`PagedTree::nearest_with`].
+    /// Same as [`PagedTree::nearest_with_tie`].
     pub fn nearest_to_point(
         &self,
         k: usize,
         point: &[f64],
-    ) -> StoreResult<(Vec<OwnedNeighbor>, SearchStats)> {
-        self.nearest_with(
+    ) -> StoreResult<(Vec<Neighbor<Rect, u64>>, SearchStats)> {
+        self.nearest_with_tie(
             k,
             |rect| rect.min_dist2(point).sqrt(),
             |rect, _, _| Some(rect.min_dist2(point).sqrt()),
+            |_| 0,
         )
     }
 }
@@ -573,7 +535,7 @@ mod tests {
                 );
                 assert!(abandoned > 0, "q={q:?} k={k}: nothing abandoned");
                 assert_eq!(bounded_stats, full_stats, "q={q:?} k={k}");
-                let ids = |v: &[Neighbor<'_, (usize, usize)>]| {
+                let ids = |v: &[Neighbor<&Rect, &(usize, usize)>]| {
                     v.iter()
                         .map(|n| (*n.item, n.distance.to_bits()))
                         .collect::<Vec<_>>()

@@ -24,9 +24,14 @@
 //!
 //! Storage comes in two modes. The default keeps every node in memory.
 //! [`paged::PagedTree`] stores one node per fixed-size page in a file
-//! behind a pin-counted LRU [`page::BufferPool`], so an index larger than
-//! memory still works — and its [`stats::SearchStats`] carry *measured*
-//! pool hit/miss counts next to the simulated node-visit count.
+//! behind a pin-counted SLRU [`page::BufferPool`], so an index larger
+//! than memory still works. Both are a [`source::NodeSource`] — a root
+//! reference plus a node fetch — and range search
+//! ([`search::search_source`]), best-first kNN ([`knn::nearest_source`])
+//! and the synchronized join ([`join::join_sources`]) are each written
+//! once over that seam. The paged node-visit counters therefore measure
+//! the same code as the in-memory ones, and the paged fetch adds
+//! *measured* pool hit/miss counts to [`stats::SearchStats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +45,7 @@ pub mod paged;
 pub mod persist;
 pub mod rect;
 pub mod search;
+pub mod source;
 pub mod stats;
 pub mod tree;
 
@@ -49,10 +55,12 @@ mod node;
 mod split;
 
 pub use config::RTreeConfig;
-pub use join::{spatial_join, spatial_join_with};
-pub use knn::Neighbor;
+pub use join::{join_sources, spatial_join, spatial_join_with, Slot};
+pub use knn::{nearest_source, Neighbor};
 pub use page::{BufferPool, PageId};
 pub use paged::PagedTree;
 pub use rect::Rect;
+pub use search::search_source;
+pub use source::{EntryView, NodeSource, NodeView};
 pub use stats::{LevelStats, SearchStats};
 pub use tree::RStarTree;

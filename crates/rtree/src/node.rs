@@ -33,7 +33,7 @@ impl<T> Entry<T> {
 
 /// A tree node. `level == 0` means leaf; the root is the highest level.
 #[derive(Debug, Clone)]
-pub(crate) struct Node<T> {
+pub struct Node<T> {
     pub(crate) level: u32,
     pub(crate) entries: Vec<Entry<T>>,
 }

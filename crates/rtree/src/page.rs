@@ -351,7 +351,7 @@ impl<N> PoolInner<N> {
 #[derive(Debug)]
 pub struct PagePin<'p, N> {
     pool: &'p BufferPool<N>,
-    id: PageId,
+    pub(crate) id: PageId,
     value: Arc<N>,
 }
 

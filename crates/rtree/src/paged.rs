@@ -3,11 +3,11 @@
 //!
 //! A [`PagedTree`] is created *from* an in-memory [`RStarTree`] (its
 //! structure is copied node-for-node, child pointers becoming
-//! [`PageId`]s) and answers the same queries through the paged traversals
-//! in `search`/`knn`/`join` — byte-identically, including every
-//! traversal counter, because each paged traversal mirrors its in-memory
-//! twin step for step. What the paged versions add are the *measured*
-//! `pool_hits`/`pool_misses` counters.
+//! [`PageId`]s). It is a [`NodeSource`] whose fetch pins the node's page
+//! and checks its level, so range search, kNN and the join run the very
+//! traversals the in-memory tree runs and answer byte-identically,
+//! including every traversal counter. What the paged fetch adds are the
+//! *measured* `pool_hits`/`pool_misses` counters.
 //!
 //! Payloads are fixed to `u64` (the id-shaped types every index in this
 //! workspace stores); `create_from`/`materialize` bridge to the generic
@@ -24,6 +24,7 @@ use crate::node::{Entry, Node};
 use crate::page::{seal_page, BufferPool, PageId, PagePin};
 use crate::persist::{read_rect, write_rect, MAX_LEVEL};
 use crate::rect::Rect;
+use crate::source::{EntryView, NodeSource, NodeView};
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
@@ -66,27 +67,27 @@ pub(crate) enum PagedEntry {
     },
 }
 
-impl PagedEntry {
-    pub(crate) fn rect(&self) -> &Rect {
-        match self {
-            PagedEntry::Leaf { rect, .. } | PagedEntry::Child { rect, .. } => rect,
-        }
-    }
-}
+impl NodeView for PagePin<'_, PagedNode> {
+    type Ref = (PageId, u32);
+    type Item = u64;
 
-impl PagedNode {
-    pub(crate) fn is_leaf(&self) -> bool {
+    fn is_leaf(&self) -> bool {
         self.level == 0
     }
 
-    /// Bounding rectangle of all entries; `None` for an empty node.
-    pub(crate) fn mbr(&self) -> Option<Rect> {
-        let mut it = self.entries.iter();
-        let mut mbr = it.next()?.rect().clone();
-        for e in it {
-            mbr.union_assign(e.rect());
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn entry(&self, i: usize) -> EntryView<'_, (PageId, u32), u64> {
+        match &self.entries[i] {
+            PagedEntry::Leaf { rect, item } => EntryView::Leaf(rect, *item),
+            PagedEntry::Child { rect, page } => EntryView::Child(rect, (*page, self.level - 1)),
         }
-        Some(mbr)
+    }
+
+    fn key(&self) -> usize {
+        self.id.0 as usize
     }
 }
 
@@ -161,8 +162,8 @@ impl PagedTree {
         let mut w = BufWriter::new(file);
         // Pages go first conceptually, but the header block leads the
         // file; its page_count/root fields are known up front because the
-        // node count is just a walk.
-        let page_count = count_nodes(&tree.root);
+        // node count is just a walk (an empty tree still writes its root).
+        let page_count = tree.search_with(|_| true, |_, _| {}).nodes_visited.max(1);
         let root = PageId(page_count - 1);
         let header = encode_header(
             page_size,
@@ -263,43 +264,6 @@ impl PagedTree {
         &self.pool
     }
 
-    pub(crate) fn root(&self) -> PageId {
-        self.root
-    }
-
-    pub(crate) fn root_level(&self) -> u32 {
-        self.root_level
-    }
-
-    /// Pins the page holding one node, recording the hit/miss in `stats`
-    /// and verifying the node sits at `expected_level` (which bounds
-    /// recursion on hostile files: levels strictly decrease toward 0).
-    pub(crate) fn fetch(
-        &self,
-        id: PageId,
-        expected_level: u32,
-        stats: &mut SearchStats,
-    ) -> StoreResult<PagePin<'_, PagedNode>> {
-        let config = &self.config;
-        let dims = self.dims.unwrap_or(0);
-        let page_count = self.page_count;
-        let (pin, hit) = self
-            .pool
-            .pin(id, |payload| decode_node(payload, config, dims, page_count))?;
-        if hit {
-            stats.pool_hits += 1;
-        } else {
-            stats.pool_misses += 1;
-        }
-        if pin.level != expected_level {
-            return Err(StoreError::corrupt(format!(
-                "{id} holds a level-{} node where level {expected_level} was expected",
-                pin.level
-            )));
-        }
-        Ok(pin)
-    }
-
     /// Rebuilds the full in-memory tree from the pages, converting stored
     /// `u64` payloads back with `from_u64`. Validation mirrors the
     /// snapshot restore: stored MBRs must equal recomputed child MBRs
@@ -342,7 +306,7 @@ impl PagedTree {
         leaves: &mut usize,
         stats: &mut SearchStats,
     ) -> StoreResult<Node<T>> {
-        let page = self.fetch(id, level, stats)?;
+        let page = self.fetch((id, level), stats)?;
         let mut entries = Vec::with_capacity(page.entries.len());
         for entry in &page.entries {
             match entry {
@@ -372,14 +336,46 @@ impl PagedTree {
     }
 }
 
-fn count_nodes<T>(node: &Node<T>) -> u64 {
-    let mut n = 1;
-    for entry in &node.entries {
-        if let Entry::Node { child, .. } = entry {
-            n += count_nodes(child);
-        }
+impl NodeSource for PagedTree {
+    type Ref<'s> = (PageId, u32);
+    type Item<'s> = u64;
+    type Node<'s> = PagePin<'s, PagedNode>;
+    type Error = StoreError;
+
+    fn root(&self) -> Option<(PageId, u32)> {
+        (self.len > 0).then_some((self.root, self.root_level))
     }
-    n
+
+    /// Pins the node's page and checks the node sits at the level its
+    /// parent implies (which bounds recursion on hostile files).
+    fn fetch<'s>(
+        &'s self,
+        (id, expected_level): (PageId, u32),
+        stats: &mut SearchStats,
+    ) -> StoreResult<PagePin<'s, PagedNode>> {
+        let config = &self.config;
+        let dims = self.dims.unwrap_or(0);
+        let page_count = self.page_count;
+        let (pin, hit) = self
+            .pool
+            .pin(id, |payload| decode_node(payload, config, dims, page_count))?;
+        if hit {
+            stats.pool_hits += 1;
+        } else {
+            stats.pool_misses += 1;
+        }
+        if pin.level != expected_level {
+            return Err(StoreError::corrupt(format!(
+                "{id} holds a level-{} node where level {expected_level} was expected",
+                pin.level
+            )));
+        }
+        Ok(pin)
+    }
+
+    fn empty_node(&self) -> StoreError {
+        StoreError::corrupt("empty node in page file")
+    }
 }
 
 /// Writes `node`'s subtree post-order (children first), assigning page

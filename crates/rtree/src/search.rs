@@ -1,7 +1,7 @@
 //! Range search with a pluggable rectangle test — the hook that makes
 //! Algorithm 1/2 of the paper possible.
 //!
-//! [`RStarTree::search_with`] hands every *stored* MBR to a caller-supplied
+//! [`search_source`] hands every *stored* MBR to a caller-supplied
 //! acceptance closure. `tsq-core` implements the paper's transformed search
 //! by applying a safe transformation `T` to the MBR inside that closure and
 //! testing the result against the (transformed-space) search rectangle:
@@ -11,66 +11,83 @@
 use tsq_store::StoreResult;
 
 use crate::node::{Entry, Node};
-use crate::page::PageId;
-use crate::paged::{PagedEntry, PagedTree};
+use crate::paged::PagedTree;
 use crate::rect::Rect;
+use crate::source::{EntryView, NodeSource, NodeView};
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
+/// Guided traversal over any [`NodeSource`].
+///
+/// `accept` is called on the bounding rectangle of every entry reached
+/// (internal MBRs *and* leaf rectangles); subtrees whose MBR is rejected
+/// are pruned. Accepted leaf entries are passed to `on_candidate`. A node
+/// stays fetched (pinned, when paged) while its children are visited.
+///
+/// Returns per-query access statistics; one visited node models one disk
+/// access.
+///
+/// # Errors
+/// Whatever the source's fetch reports.
+pub fn search_source<'s, S, A, C>(
+    src: &'s S,
+    mut accept: A,
+    mut on_candidate: C,
+) -> Result<SearchStats, S::Error>
+where
+    S: NodeSource,
+    A: FnMut(&Rect) -> bool,
+    C: FnMut(&Rect, S::Item<'s>),
+{
+    let mut stats = SearchStats::default();
+    if let Some(root) = src.root() {
+        visit(src, root, &mut accept, &mut on_candidate, &mut stats)?;
+    }
+    Ok(stats)
+}
+
+fn visit<'s, S, A, C>(
+    src: &'s S,
+    node: S::Ref<'s>,
+    accept: &mut A,
+    on_candidate: &mut C,
+    stats: &mut SearchStats,
+) -> Result<(), S::Error>
+where
+    S: NodeSource,
+    A: FnMut(&Rect) -> bool,
+    C: FnMut(&Rect, S::Item<'s>),
+{
+    let node = src.fetch(node, stats)?;
+    stats.nodes_visited += 1;
+    if node.is_leaf() {
+        stats.leaves_visited += 1;
+    }
+    for i in 0..node.len() {
+        stats.entries_tested += 1;
+        match node.entry(i) {
+            EntryView::Leaf(rect, item) if accept(rect) => {
+                stats.candidates += 1;
+                on_candidate(rect, item);
+            }
+            EntryView::Child(rect, child) if accept(rect) => {
+                visit(src, child, accept, on_candidate, stats)?;
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 impl<T> RStarTree<T> {
-    /// Generic guided traversal.
-    ///
-    /// `accept` is called on the bounding rectangle of every entry reached
-    /// (internal MBRs *and* leaf rectangles); subtrees whose MBR is rejected
-    /// are pruned. Accepted leaf entries are passed to `on_candidate`.
-    ///
-    /// Returns per-query access statistics; one visited node models one disk
-    /// access.
-    pub fn search_with<'a, A, C>(&'a self, mut accept: A, mut on_candidate: C) -> SearchStats
+    /// [`search_source`] over the in-memory tree, which cannot fail.
+    pub fn search_with<'a, A, C>(&'a self, accept: A, mut on_candidate: C) -> SearchStats
     where
         A: FnMut(&Rect) -> bool,
         C: FnMut(&'a Rect, &'a T),
     {
-        let mut stats = SearchStats::default();
-        if self.is_empty() {
-            return stats;
-        }
-        self.visit_node(root(self), &mut accept, &mut on_candidate, &mut stats);
+        let Ok(stats) = search_source(self, accept, |_, (rect, item)| on_candidate(rect, item));
         stats
-    }
-
-    fn visit_node<'a, A, C>(
-        &'a self,
-        node: &'a Node<T>,
-        accept: &mut A,
-        on_candidate: &mut C,
-        stats: &mut SearchStats,
-    ) where
-        A: FnMut(&Rect) -> bool,
-        C: FnMut(&'a Rect, &'a T),
-    {
-        stats.nodes_visited += 1;
-        if node.is_leaf() {
-            stats.leaves_visited += 1;
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                if let Entry::Leaf { rect, item } = entry {
-                    if accept(rect) {
-                        stats.candidates += 1;
-                        on_candidate(rect, item);
-                    }
-                }
-            }
-        } else {
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                if let Entry::Node { rect, child } = entry {
-                    if accept(rect) {
-                        self.visit_node(child, accept, on_candidate, stats);
-                    }
-                }
-            }
-        }
     }
 
     /// Window query collecting matches into a vector.
@@ -131,10 +148,11 @@ impl<T: Sync> RStarTree<T> {
         let per_subtree = crate::par::parallel_map(threads, subtrees, |node| {
             let mut out = Vec::new();
             let mut local = SearchStats::default();
-            self.visit_node(
+            let Ok(()) = visit(
+                self,
                 node,
                 &mut |r| accept(r),
-                &mut |r, item| out.push((r, item)),
+                &mut |_, item| out.push(item),
                 &mut local,
             );
             (out, local)
@@ -160,74 +178,20 @@ impl<T> RStarTree<T> {
 }
 
 impl PagedTree {
-    /// Paged twin of [`RStarTree::search_with`]: the identical guided
-    /// traversal, with every node fetch going through the buffer pool.
-    /// The returned stats match the in-memory tree's counter for counter
-    /// and additionally carry measured `pool_hits`/`pool_misses`.
+    /// [`search_source`] over the paged tree; the stats also carry the
+    /// measured `pool_hits`/`pool_misses`.
     ///
     /// # Errors
-    /// Typed [`tsq_store::StoreError`]s when a page cannot be read or
-    /// decodes as corrupt.
-    pub fn search_with<A, C>(&self, mut accept: A, mut on_candidate: C) -> StoreResult<SearchStats>
+    /// Typed [`tsq_store::StoreError`]s for unreadable or corrupt pages.
+    pub fn search_with<A, C>(&self, accept: A, on_candidate: C) -> StoreResult<SearchStats>
     where
         A: FnMut(&Rect) -> bool,
         C: FnMut(&Rect, u64),
     {
-        let mut stats = SearchStats::default();
-        if self.is_empty() {
-            return Ok(stats);
-        }
-        self.visit_page(
-            self.root(),
-            self.root_level(),
-            &mut accept,
-            &mut on_candidate,
-            &mut stats,
-        )?;
-        Ok(stats)
+        search_source(self, accept, on_candidate)
     }
 
-    fn visit_page<A, C>(
-        &self,
-        id: PageId,
-        level: u32,
-        accept: &mut A,
-        on_candidate: &mut C,
-        stats: &mut SearchStats,
-    ) -> StoreResult<()>
-    where
-        A: FnMut(&Rect) -> bool,
-        C: FnMut(&Rect, u64),
-    {
-        // The pin stays alive while children are visited: the parent page
-        // cannot be evicted mid-recursion.
-        let node = self.fetch(id, level, stats)?;
-        stats.nodes_visited += 1;
-        if node.is_leaf() {
-            stats.leaves_visited += 1;
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                if let PagedEntry::Leaf { rect, item } = entry {
-                    if accept(rect) {
-                        stats.candidates += 1;
-                        on_candidate(rect, *item);
-                    }
-                }
-            }
-        } else {
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                if let PagedEntry::Child { rect, page } = entry {
-                    if accept(rect) {
-                        self.visit_page(*page, level - 1, accept, on_candidate, stats)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Paged twin of [`RStarTree::search`]: plain window query.
+    /// Plain window query over the paged tree.
     ///
     /// # Errors
     /// Same as [`PagedTree::search_with`].
@@ -237,10 +201,6 @@ impl PagedTree {
     {
         self.search_with(|r| r.intersects(query), on_candidate)
     }
-}
-
-fn root<T>(tree: &RStarTree<T>) -> &Node<T> {
-    &tree.root
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use tsq::core::{
-    executor, BatchQuery, IndexConfig, LinearTransform, QueryExecutor, QueryWindow, SeriesRelation,
+    executor, IndexConfig, LinearTransform, QueryOptions, QueryWindow, SeriesRelation,
     SimilarityIndex,
 };
 use tsq::lang::LangError;
@@ -164,22 +164,27 @@ fn core_executor_and_parallel_range_agree_with_oracle() {
             .unwrap();
         assert_eq!(par, seq, "threads = {threads}");
     }
-    // Batched fan-out across queries.
-    let batch: Vec<BatchQuery> = (0..16)
-        .map(|i| BatchQuery::Range {
-            q: rel[i].clone(),
-            eps: 2.0,
-            transform: t.clone(),
-            window: QueryWindow::default(),
-        })
+    // Batched fan-out across queries, through the catalog's batch path.
+    let mut cat = Catalog::new();
+    cat.register(SeriesRelation::from_series("walks", rel).unwrap())
+        .unwrap();
+    let batch: Vec<String> = (0..16)
+        .map(|i| format!("FIND SIMILAR TO walks.s{i} IN walks WITHIN 2 APPLY mavg(6)"))
         .collect();
-    let (seq_results, _) = QueryExecutor::new(1).run_batch(&index, batch.clone());
-    let (par_results, stats) = QueryExecutor::new(4).run_batch(&index, batch);
-    let seq_rows: Vec<_> = seq_results.into_iter().map(|r| r.unwrap().0).collect();
-    let par_rows: Vec<_> = par_results.into_iter().map(|r| r.unwrap().0).collect();
+    let run = |threads| {
+        let options = QueryOptions {
+            threads: Some(threads),
+            ..QueryOptions::default()
+        };
+        cat.run_batch_with(batch.clone(), &options)
+    };
+    let (seq_results, _) = run(1);
+    let (par_results, summary) = run(4);
+    let seq_rows: Vec<_> = seq_results.into_iter().map(|r| r.unwrap().rows).collect();
+    let par_rows: Vec<_> = par_results.into_iter().map(|r| r.unwrap().rows).collect();
     assert_eq!(par_rows, seq_rows);
-    assert_eq!(stats.queries, 16);
-    assert_eq!(stats.errors, 0);
+    assert_eq!(summary.queries, 16);
+    assert_eq!(summary.errors, 0);
 }
 
 #[test]
