@@ -15,6 +15,7 @@
 //! pair **twice** (once per direction), exactly as the paper tabulates
 //! (`12` for methods a/b vs `12 x 2 = 24` for method d).
 
+use tsq_dft::Complex64;
 use tsq_rtree::{join_sources, Rect, SearchStats};
 
 use crate::error::{Error, Result};
@@ -203,20 +204,28 @@ impl SimilarityIndex {
         let mut out = JoinOutcome::default();
         let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
         // The synchronized join revisits the same node MBRs many times
-        // (once per pairing); memoize their transformed images by slot,
-        // which names one stored rectangle for the whole traversal in
-        // either storage mode.
-        let mut memo: Vec<Option<Rect>> = Vec::new();
+        // (once per pairing); memoize, by slot (which names one stored
+        // rectangle for the whole traversal in either storage mode), each
+        // transformed image and the point form of each of its coefficient
+        // blocks, so the pair bound does no trigonometry on point pairs.
+        let mut memo: Vec<Option<(Rect, Vec<Option<Complex64>>)>> = Vec::new();
         let stats = join_sources(
             &self.nodes,
             &self.nodes,
             |sa, ra, sb, rb| {
                 memo.resize(memo.len().max(sa.max(sb) + 1), None);
                 for (slot, r) in [(sa, ra), (sb, rb)] {
-                    memo[slot].get_or_insert_with(|| space.transform_mbr(r, t, schema));
+                    memo[slot].get_or_insert_with(|| {
+                        let tr = space.transform_mbr(r, t, schema);
+                        let points = (0..schema.k())
+                            .map(|j| space.point_form(&tr, schema, j))
+                            .collect();
+                        (tr, points)
+                    });
                 }
-                let [ta, tb] = [sa, sb].map(|s| memo[s].as_ref().expect("memoized above"));
-                space.pair_lower_bound_pretransformed(ta, tb, schema)
+                let [(ta, pa), (tb, pb)] =
+                    [sa, sb].map(|s| memo[s].as_ref().expect("memoized above"));
+                space.pair_bound(ta, |j| pa[j], tb, |j| pb[j], schema, eps)
             },
             eps,
             |_, ia, _, ib| candidate_pairs.push((ia, ib)),

@@ -387,17 +387,68 @@ impl SpaceKind {
         self.pair_lower_bound_pretransformed(&ta, &tb, schema)
     }
 
-    /// Same bound, for rectangles that are *already* transformed (the tree
-    /// join memoizes transformed MBRs and calls this).
+    /// Same bound, for rectangles that are *already* transformed: the one
+    /// bound kernel with each block's point form computed on demand and
+    /// no cut-off. Allocation-free. The tree join calls the kernel
+    /// directly, with transformed MBRs and point forms memoized per slot
+    /// and a cut-off at its `eps`.
     pub fn pair_lower_bound_pretransformed(
         &self,
         ta: &Rect,
         tb: &Rect,
         schema: FeatureSchema,
     ) -> f64 {
+        self.pair_bound(
+            ta,
+            |j| self.point_form(ta, schema, j),
+            tb,
+            |j| self.point_form(tb, schema, j),
+            schema,
+            f64::INFINITY,
+        )
+    }
+
+    /// The Cartesian point of coefficient block `j` of a transformed MBR,
+    /// when the block is a point in `S_pol` (both extents below `1e-6`;
+    /// leaf entries are points up to the anti-rounding padding). `None`
+    /// for wider blocks and in `S_rect`.
+    pub(crate) fn point_form(
+        &self,
+        trect: &Rect,
+        schema: FeatureSchema,
+        j: usize,
+    ) -> Option<Complex64> {
+        let d = schema.aux_dims() + 2 * j;
+        let (lo, hi) = (trect.lo(), trect.hi());
+        (*self == SpaceKind::Polar && hi[d] - lo[d] < POINTISH && hi[d + 1] - lo[d + 1] < POINTISH)
+            .then(|| Complex64::from_polar(lo[d], lo[d + 1]))
+    }
+
+    /// The pair bound's one kernel. `point_a(j)` / `point_b(j)` must give
+    /// [`SpaceKind::point_form`] of block `j` of `ta` / `tb` (cached or
+    /// computed on demand: the bits are the same). Two point blocks are
+    /// bounded by their exact complex distance minus a slack covering the
+    /// padding, any other polar pair by the annular-sector distance.
+    ///
+    /// Once the partial sum of squares passes `cutoff²` (with a relative
+    /// margin of `1e-12`, so that its root is above `cutoff` for certain)
+    /// the remaining blocks are skipped: the partial root is still a lower
+    /// bound, so `bound <= cutoff` decides as the full sum would, and
+    /// every bound at or below `cutoff` is the full sum, bit for bit.
+    /// `f64::INFINITY` never cuts off.
+    pub(crate) fn pair_bound(
+        &self,
+        ta: &Rect,
+        point_a: impl Fn(usize) -> Option<Complex64>,
+        tb: &Rect,
+        point_b: impl Fn(usize) -> Option<Complex64>,
+        schema: FeatureSchema,
+        cutoff: f64,
+    ) -> f64 {
+        let stop = cutoff * cutoff * (1.0 + 1e-12);
         let mut acc = 0.0;
         let mut d = schema.aux_dims();
-        for _ in schema.coeff_indices() {
+        for j in 0..schema.k() {
             let dist = match self {
                 SpaceKind::Rectangular => {
                     let dx = gap(ta.lo()[d], ta.hi()[d], tb.lo()[d], tb.hi()[d]);
@@ -409,33 +460,25 @@ impl SpaceKind {
                     );
                     (dx * dx + dy * dy).sqrt()
                 }
-                SpaceKind::Polar => {
-                    // Leaf entries are points (up to the anti-rounding
-                    // padding); their "sectors" degenerate and the exact
-                    // complex distance minus a slack covering the padding
-                    // is a much cheaper valid lower bound.
-                    const POINTISH: f64 = 1e-6;
-                    let a_point = ta.hi()[d] - ta.lo()[d] < POINTISH
-                        && ta.hi()[d + 1] - ta.lo()[d + 1] < POINTISH;
-                    let b_point = tb.hi()[d] - tb.lo()[d] < POINTISH
-                        && tb.hi()[d + 1] - tb.lo()[d + 1] < POINTISH;
-                    if a_point && b_point {
-                        let pa = Complex64::from_polar(ta.lo()[d], ta.lo()[d + 1]);
-                        let pb = Complex64::from_polar(tb.lo()[d], tb.lo()[d + 1]);
-                        ((pa - pb).abs() - 4.0 * POINTISH).max(0.0)
-                    } else {
-                        let sa = sector_of(ta, d);
-                        let sb = sector_of(tb, d);
-                        sa.min_dist_to_sector(&sb)
-                    }
-                }
+                SpaceKind::Polar => match point_a(j).and_then(|pa| Some((pa, point_b(j)?))) {
+                    Some((pa, pb)) => ((pa - pb).abs() - 4.0 * POINTISH).max(0.0),
+                    None => sector_of(ta, d).min_dist_to_sector(&sector_of(tb, d)),
+                },
             };
             acc += dist * dist;
+            if acc > stop {
+                return acc.sqrt();
+            }
             d += 2;
         }
         acc.sqrt()
     }
 }
+
+/// Extent below which a polar coefficient block counts as a point: its
+/// "sector" degenerates, and the exact complex distance is a much cheaper
+/// valid bound.
+const POINTISH: f64 = 1e-6;
 
 fn sector_of(r: &Rect, d: usize) -> AnnularSector {
     let (mlo, mhi) = (r.lo()[d].max(0.0), r.hi()[d].max(0.0));
@@ -695,5 +738,145 @@ mod tests {
         let tr = space.transform_mbr(&rect, &t, NF2);
         assert!(tr.lo()[0] <= tr.hi()[0]);
         assert!((tr.lo()[0] - (-2.0 * (p[0] + 1.0))).abs() < 1e-6);
+    }
+
+    /// Reference form of the pair bound: both Cartesian points derived
+    /// from the rectangles per pair, every block summed.
+    fn reference_pair_bound(space: SpaceKind, ta: &Rect, tb: &Rect) -> f64 {
+        const POINT: f64 = 1e-6;
+        let mut acc = 0.0;
+        let mut d = NF2.aux_dims();
+        for _ in NF2.coeff_indices() {
+            let dist = match space {
+                SpaceKind::Rectangular => {
+                    let dx = gap(ta.lo()[d], ta.hi()[d], tb.lo()[d], tb.hi()[d]);
+                    let dy = gap(
+                        ta.lo()[d + 1],
+                        ta.hi()[d + 1],
+                        tb.lo()[d + 1],
+                        tb.hi()[d + 1],
+                    );
+                    (dx * dx + dy * dy).sqrt()
+                }
+                SpaceKind::Polar => {
+                    let point = |r: &Rect| {
+                        r.hi()[d] - r.lo()[d] < POINT && r.hi()[d + 1] - r.lo()[d + 1] < POINT
+                    };
+                    if point(ta) && point(tb) {
+                        let pa = Complex64::from_polar(ta.lo()[d], ta.lo()[d + 1]);
+                        let pb = Complex64::from_polar(tb.lo()[d], tb.lo()[d + 1]);
+                        ((pa - pb).abs() - 4.0 * POINT).max(0.0)
+                    } else {
+                        sector_of(ta, d).min_dist_to_sector(&sector_of(tb, d))
+                    }
+                }
+            };
+            acc += dist * dist;
+            d += 2;
+        }
+        acc.sqrt()
+    }
+
+    /// A seeded stored MBR in the `NF2` layout whose coefficient blocks
+    /// are, by `kind`: points, sub-`POINTISH` boxes, narrow sectors, or
+    /// full circles (polar); or points and boxes of two sizes (rectangular).
+    fn seeded_rect(space: SpaceKind, next: &mut impl FnMut() -> f64, kind: usize) -> Rect {
+        let (mut lo, mut hi) = (vec![next(), next()], vec![]);
+        hi.extend(lo.iter().map(|v| v + 0.1));
+        for _ in NF2.coeff_indices() {
+            let (m, a) = (3.0 * next(), PI * (2.0 * next() - 1.0));
+            let ((ml, mh), (al, ah)) = match (space, kind) {
+                (SpaceKind::Polar, 0) | (SpaceKind::Rectangular, 0) => ((m, m), (a, a)),
+                (SpaceKind::Polar, 1) => ((m, m + 1e-8), (a.min(3.0), a.min(3.0) + 1e-8)),
+                (SpaceKind::Polar, 2) => {
+                    let w = 1.5 * next();
+                    ((m, m + next()), (a.min(PI - w), a.min(PI - w) + w))
+                }
+                (SpaceKind::Polar, _) => ((m, m + next()), (-PI, PI)),
+                (SpaceKind::Rectangular, _) => {
+                    let w = kind as f64 * next();
+                    ((m - 1.5, m - 1.5 + w), (a, a + w))
+                }
+            };
+            lo.extend([ml, al]);
+            hi.extend([mh, ah]);
+        }
+        Rect::new(lo, hi)
+    }
+
+    #[test]
+    fn pair_kernel_matches_reference_bound() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            // splitmix64, top 53 bits as a uniform [0, 1).
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Block-pair kinds met: point/point, point/sector, sector/sector,
+        // a full circle, a zero-scale annulus at the origin.
+        let mut kinds = [0usize; 5];
+        for space in [SpaceKind::Polar, SpaceKind::Rectangular] {
+            for t in [
+                LinearTransform::identity(64),
+                LinearTransform::moving_average(64, 8),
+                LinearTransform::reverse(64),
+                // Zeroes X_2: its blocks collapse to the origin.
+                LinearTransform::moving_average(64, 32),
+            ] {
+                if space.check_safety(&t, NF2).is_err() {
+                    continue;
+                }
+                let rects: Vec<Rect> = (0..48)
+                    .map(|i| space.transform_mbr(&seeded_rect(space, &mut next, i % 4), &t, NF2))
+                    .collect();
+                let points: Vec<Vec<Option<Complex64>>> = rects
+                    .iter()
+                    .map(|r| (0..NF2.k()).map(|j| space.point_form(r, NF2, j)).collect())
+                    .collect();
+                for (ta, pa) in rects.iter().zip(&points) {
+                    for (tb, pb) in rects.iter().zip(&points) {
+                        for j in 0..NF2.k() {
+                            let d = NF2.aux_dims() + 2 * j;
+                            let full = |r: &Rect| r.hi()[d + 1] - r.lo()[d + 1] >= 2.0 * PI;
+                            let origin = |r: &Rect| full(r) && r.hi()[d] < POINTISH;
+                            let n_points = pa[j].is_some() as usize + pb[j].is_some() as usize;
+                            if space == SpaceKind::Polar {
+                                kinds[2 - n_points] += 1;
+                                kinds[3] += usize::from(full(ta) || full(tb));
+                                kinds[4] += usize::from(origin(ta) || origin(tb));
+                            }
+                        }
+                        let want = reference_pair_bound(space, ta, tb);
+                        let kernel =
+                            |cutoff| space.pair_bound(ta, |j| pa[j], tb, |j| pb[j], NF2, cutoff);
+                        assert_eq!(
+                            space.pair_lower_bound_pretransformed(ta, tb, NF2).to_bits(),
+                            want.to_bits()
+                        );
+                        assert_eq!(kernel(f64::INFINITY).to_bits(), want.to_bits());
+                        let below = f64::from_bits(want.to_bits().saturating_sub(1));
+                        for eps in [0.0, 0.25, 1.0, 2.0, 4.0, want, below] {
+                            let got = kernel(eps);
+                            assert_eq!(
+                                got <= eps,
+                                want <= eps,
+                                "{space:?} eps {eps}: {got} vs {want}"
+                            );
+                            assert!(got <= want);
+                            if want <= eps {
+                                assert_eq!(got.to_bits(), want.to_bits());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            kinds.iter().all(|&n| n > 0),
+            "block-pair kinds met: {kinds:?}"
+        );
     }
 }

@@ -2,7 +2,10 @@
 //! extension) agree on the answer set, with the paper's double-counting
 //! semantics for index-based methods.
 
-use tsq_core::{IndexConfig, LinearTransform, ScanMode, SimilarityIndex};
+use tsq_core::{
+    IndexConfig, JoinPair, JoinStats, LinearTransform, ScanMode, SimilarityIndex, SpaceKind,
+};
+use tsq_rtree::{spatial_join_with, Rect};
 use tsq_series::generate::StockGenerator;
 
 fn stock_index(count: usize, seed: u64) -> SimilarityIndex {
@@ -125,4 +128,131 @@ fn table_1_shape_on_stand_in_relation() {
         .unwrap();
     assert_eq!(d.pairs.len(), 2 * a.pairs.len());
     assert!(c.pairs.len() <= d.pairs.len());
+}
+
+/// The synchronized tree join rebuilt from public parts: the storage's
+/// own join (`spatial_join_with`, or the paged tree's `self_join_with`)
+/// driven by the unmemoized `SpaceKind::transformed_pair_lower_bound`,
+/// then, per probe in id order, the early-abandoning exact refine.
+fn reference_tree_join(
+    idx: &SimilarityIndex,
+    eps: f64,
+    t: &LinearTransform,
+) -> (Vec<JoinPair>, JoinStats) {
+    let (space, schema) = (idx.config().space, idx.config().schema);
+    let bound = |ra: &Rect, rb: &Rect| space.transformed_pair_lower_bound(ra, rb, t, schema);
+    let mut candidates: Vec<(usize, usize)> = Vec::new();
+    let index = match idx.paged() {
+        Some(paged) => paged
+            .self_join_with(bound, eps, |_, a, _, b| {
+                candidates.push((a as usize, b as usize))
+            })
+            .unwrap(),
+        None => spatial_join_with(idx.tree(), idx.tree(), bound, eps, |_, &a, _, &b| {
+            candidates.push((a, b))
+        }),
+    };
+    candidates.sort_unstable();
+    let mut stats = JoinStats {
+        index,
+        candidates: candidates.len(),
+        ..JoinStats::default()
+    };
+    let mut pairs = Vec::new();
+    for group in candidates.chunk_by(|x, y| x.0 == y.0) {
+        let probe = group[0].0;
+        let qf = idx.transformed_features(probe, t).unwrap();
+        for &(_, j) in group {
+            stats.exact_checks += 1;
+            match idx.exact_distance_bounded(j, t, &qf, eps) {
+                Some(distance) if j != probe => pairs.push(JoinPair {
+                    a: probe,
+                    b: j,
+                    distance,
+                }),
+                Some(_) => {}
+                None => stats.abandoned += 1,
+            }
+        }
+    }
+    pairs.sort_by_key(|p| (p.a, p.b));
+    (pairs, stats)
+}
+
+fn join_key(pairs: &[JoinPair]) -> Vec<(usize, usize, u64)> {
+    pairs
+        .iter()
+        .map(|p| (p.a, p.b, p.distance.to_bits()))
+        .collect()
+}
+
+fn assert_same_join(got: (&[JoinPair], &JoinStats), want: (&[JoinPair], &JoinStats), case: &str) {
+    assert_eq!(join_key(got.0), join_key(want.0), "pairs, {case}");
+    assert_eq!(got.1.index, want.1.index, "search stats, {case}");
+    assert_eq!(got.1.candidates, want.1.candidates, "candidates, {case}");
+    assert_eq!(
+        got.1.exact_checks, want.1.exact_checks,
+        "exact checks, {case}"
+    );
+    assert_eq!(got.1.abandoned, want.1.abandoned, "abandoned, {case}");
+}
+
+/// `join_tree` (memoized transformed MBRs, cached point forms, a bound
+/// that stops once it passes eps) returns the reference join's pairs,
+/// distance bits and every counter, in memory and paged with a small
+/// pool, in both coordinate spaces. `mavg(64, 32)` zeroes `X_2` on
+/// length-64 series, so its blocks become full-circle annuli at the
+/// origin; `reverse` shifts every polar angle by pi, wrapping sectors.
+#[test]
+fn tree_join_matches_unmemoized_reference_join() {
+    let dir = std::env::temp_dir().join(format!("tsq-join-oracle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut checked = [0usize; 2];
+    for (si, space) in [SpaceKind::Polar, SpaceKind::Rectangular]
+        .into_iter()
+        .enumerate()
+    {
+        for (len, seed) in [(128usize, 3101u64), (64, 3102)] {
+            let config = IndexConfig {
+                space,
+                ..IndexConfig::default()
+            };
+            let mem = SimilarityIndex::build(config, StockGenerator::new(seed).relation(100, len))
+                .unwrap();
+            for t in [
+                LinearTransform::identity(len),
+                LinearTransform::moving_average(len, 8),
+                LinearTransform::reverse(len),
+                LinearTransform::moving_average(len, 32),
+            ] {
+                if space.check_safety(&t, config.schema).is_err() {
+                    continue;
+                }
+                for eps in [0.5, 1.0, 2.5] {
+                    let case = format!("{space:?}, len {len}, {}, eps {eps}", t.name());
+                    let want = reference_tree_join(&mem, eps, &t);
+                    let got = mem.join_tree(eps, &t).unwrap();
+                    assert_same_join((&got.pairs, &got.stats), (&want.0, &want.1), &case);
+                    // Fresh copies with the same two-page pool fetch the
+                    // same pages in the same order, so the pool counters
+                    // must agree too.
+                    let paged = |tag: &str| {
+                        let mut paged = mem.clone();
+                        let path = dir.join(format!("{tag}-{si}-{len}-{}-{eps}.pages", t.name()));
+                        paged.attach_paged(&path, 2).unwrap();
+                        paged
+                    };
+                    let want = reference_tree_join(&paged("ref"), eps, &t);
+                    let got = paged("engine").join_tree(eps, &t).unwrap();
+                    assert!(want.1.index.pool_misses > 0, "paged, {case}");
+                    assert_same_join((&got.pairs, &got.stats), (&want.0, &want.1), &case);
+                    checked[si] += 1;
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    // Polar: all four transforms at both lengths; rectangular: the
+    // real-multiplier ones (identity, reverse).
+    assert_eq!(checked, [24, 12]);
 }
